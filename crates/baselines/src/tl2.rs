@@ -135,10 +135,14 @@ impl Tl2Tx {
             }
         }
         // Phase 2: obtain the write version.
-        let wv = self.rt.clock.fetch_commit_gv4(self.rv);
-        // Phase 3: validate the read set (skippable when no other writer
-        // committed since we started).
-        if wv != self.rv + 1 {
+        let tick = self.rt.clock.fetch_commit_gv4(self.rv);
+        let wv = tick.value;
+        // Phase 3: validate the read set. It is skippable only when this
+        // commit itself moved the clock from `rv` to `rv + 1`, so no other
+        // writer committed since we started. An adopted `rv + 1` (GV4's
+        // failed CAS) proves nothing: the thread that advanced the clock
+        // is committing concurrently and may have written our read set.
+        if !(tick.advanced && wv == self.rv + 1) {
             for &idx in &self.read_set {
                 let st = self.rt.locks.lock_at(idx).load();
                 let mine = st.locked && st.tid == self.tid;

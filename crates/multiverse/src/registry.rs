@@ -7,9 +7,14 @@
 //! transition is safe, to collect commit-timestamp deltas for the
 //! unversioning heuristic, and to decide (via the sticky bits) when to leave
 //! Mode U.
+//!
+//! A slot lives as long as its handle: when the handle drops it withdraws
+//! its sticky bit and delta ([`ThreadSlot::withdraw`]), and the registry
+//! forgets every slot it alone still references, so neither a dead
+//! handle's state nor its slot outlives it.
 
 use std::sync::Arc;
-use tm_api::sync::{fence, AtomicBool, AtomicU64, Mutex, Ordering};
+use tm_api::sync::{fence, AtomicBool, AtomicU64, Mutex, MutexGuard, Ordering};
 use tm_api::CachePadded;
 
 /// Sentinel announced when a thread has no active transaction attempt.
@@ -122,6 +127,18 @@ impl ThreadSlot {
             d => Some(d),
         }
     }
+
+    /// Withdraw the runtime-wide state this slot announces, for a handle
+    /// that is going away: its sticky bit (which would otherwise pin Mode
+    /// U) and its last delta (which would otherwise keep feeding the
+    /// unversioning sample window). `sticky` is the handle's own mirror of
+    /// its sticky bit, so a handle that never set it stores nothing.
+    pub fn withdraw(&self, sticky: bool) {
+        if sticky {
+            self.set_sticky_mode_u(false);
+        }
+        self.commit_ts_delta.store(NO_DELTA, Ordering::Relaxed);
+    }
 }
 
 /// Registry of every worker thread's announcement slot.
@@ -139,23 +156,29 @@ impl WorkerRegistry {
     /// Register a new worker and return its slot.
     pub fn register(&self) -> Arc<ThreadSlot> {
         let slot = Arc::new(ThreadSlot::default());
-        self.slots.lock().unwrap().push(Arc::clone(&slot));
+        self.live().push(Arc::clone(&slot));
         slot
     }
 
-    /// Snapshot of all slots (the background thread iterates this).
-    pub fn slots(&self) -> Vec<Arc<ThreadSlot>> {
-        self.slots.lock().unwrap().clone()
+    /// The slot list with dead slots pruned. A slot is dead once its
+    /// handle has dropped, i.e. when the registry holds the only reference;
+    /// nothing can revive it (the registry hands out a slot's reference
+    /// only from `register`), so pruning it is final. Pruning on every
+    /// register and scan bounds the list by the number of live handles.
+    fn live(&self) -> MutexGuard<'_, Vec<Arc<ThreadSlot>>> {
+        let mut slots = self.slots.lock().unwrap();
+        slots.retain(|s| Arc::strong_count(s) > 1);
+        slots
     }
 
-    /// Number of registered workers.
+    /// Number of live registered workers.
     pub fn len(&self) -> usize {
-        self.slots.lock().unwrap().len()
+        self.live().len()
     }
 
-    /// Whether no worker has registered yet.
+    /// Whether no live worker is registered.
     pub fn is_empty(&self) -> bool {
-        self.slots.lock().unwrap().is_empty()
+        self.live().is_empty()
     }
 
     /// True if some *active* attempt matching `filter` is still running with
@@ -175,7 +198,7 @@ impl WorkerRegistry {
         // invariant the drain loops rely on. This path runs only in the
         // background thread, so the fence costs nothing on the hot path.
         fence(Ordering::SeqCst);
-        self.slots.lock().unwrap().iter().any(|s| {
+        self.live().iter().any(|s| {
             let c = s.local_mode_counter();
             c != INACTIVE && c < target_counter && filter(s)
         })
@@ -183,12 +206,12 @@ impl WorkerRegistry {
 
     /// True if any thread currently has its sticky Mode-U flag set.
     pub fn any_sticky_mode_u(&self) -> bool {
-        self.slots.lock().unwrap().iter().any(|s| s.sticky_mode_u())
+        self.live().iter().any(|s| s.sticky_mode_u())
     }
 
     /// Average of all announced commit-timestamp deltas, if any.
     pub fn average_commit_ts_delta(&self) -> Option<u64> {
-        let slots = self.slots.lock().unwrap();
+        let slots = self.live();
         let deltas: Vec<u64> = slots.iter().filter_map(|s| s.commit_ts_delta()).collect();
         if deltas.is_empty() {
             None
@@ -263,9 +286,36 @@ mod tests {
     fn registry_len() {
         let reg = WorkerRegistry::new();
         assert!(reg.is_empty());
-        reg.register();
-        reg.register();
+        let _a = reg.register();
+        let _b = reg.register();
         assert_eq!(reg.len(), 2);
-        assert_eq!(reg.slots().len(), 2);
+    }
+
+    #[test]
+    fn dead_slots_are_pruned_and_stop_counting() {
+        let reg = WorkerRegistry::new();
+        let live = reg.register();
+        live.announce_commit_ts_delta(10);
+        for _ in 0..100 {
+            let dead = reg.register();
+            dead.set_sticky_mode_u(true);
+            dead.announce_commit_ts_delta(1_000);
+        }
+        // Each dropped slot went at the next register; the last one goes
+        // at the next scan, before it can pin Mode U or skew the average.
+        assert!(!reg.any_sticky_mode_u());
+        assert_eq!(reg.average_commit_ts_delta(), Some(10));
+        assert_eq!(reg.len(), 1);
+    }
+
+    #[test]
+    fn withdraw_clears_sticky_and_delta() {
+        let reg = WorkerRegistry::new();
+        let a = reg.register();
+        a.set_sticky_mode_u(true);
+        a.announce_commit_ts_delta(7);
+        a.withdraw(true);
+        assert!(!reg.any_sticky_mode_u());
+        assert_eq!(reg.average_commit_ts_delta(), None);
     }
 }

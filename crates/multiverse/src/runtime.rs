@@ -439,6 +439,15 @@ fn run_mode_machine(rt: &MultiverseRuntime) {
 /// One unversioning pass (§4.4): compute the threshold from the commit-
 /// timestamp deltas and unversion every bucket whose newest version is older
 /// than the threshold.
+///
+/// The pass visits only the buckets whose VLT occupancy bit is set, so its
+/// cost follows the number of versioned buckets, not the table size: once
+/// every bucket is unversioned a pass is one load per 64 buckets. The bit is
+/// a hint, read without the stripe lock, so each visit keeps the unlocked
+/// `bucket_is_empty` re-check and `unversion_bucket` keeps its `try_lock`. A
+/// bucket whose bit is set after the pass read its word waits for the next
+/// pass; that delays unversioning (liveness) and can never unversion a
+/// bucket wrongly (see the `vlt` module docs).
 fn run_unversioning(rt: &MultiverseRuntime, ebr: &mut LocalHandle, samples: &mut Vec<u64>) {
     if let Some(avg) = rt.registry.average_commit_ts_delta() {
         samples.push(avg);
@@ -460,7 +469,7 @@ fn run_unversioning(rt: &MultiverseRuntime, ebr: &mut LocalHandle, samples: &mut
 
     let now = rt.clock.read();
     ebr.pin();
-    for idx in 0..rt.vlt.len() {
+    for idx in rt.vlt.iter_occupied() {
         if rt.current_mode() != Mode::Q {
             break;
         }
@@ -483,6 +492,12 @@ fn run_unversioning(rt: &MultiverseRuntime, ebr: &mut LocalHandle, samples: &mut
 /// bloom filter and retire the whole chain as **one** EBR entry whose
 /// destructor recycles every node (and each version-list head) into the
 /// arena — batched retirement instead of one entry per node.
+///
+/// `take_bucket` clears the bucket's occupancy bit inside this critical
+/// section, just as `Vlt::insert` sets it inside the inserting writer's or
+/// reader's, so the bit and the bucket change together under the stripe
+/// lock. If the lock is busy the bucket and its bit stay as they are, and a
+/// later pass retries it.
 ///
 /// The version-list heads are detached at *reclaim* time (inside the
 /// destructor, after the grace period), so readers that found the bucket
@@ -527,6 +542,7 @@ fn unversion_bucket(rt: &MultiverseRuntime, ebr: &mut LocalHandle, idx: usize) {
 mod tests {
     use super::*;
     use crate::config::MultiverseConfig;
+    use std::collections::HashSet;
     use tm_api::{TVar, Transaction};
 
     fn small_rt() -> Arc<MultiverseRuntime> {
@@ -688,6 +704,121 @@ mod tests {
         let stats = rt.stats();
         assert!(stats.commits > 0);
         rt.shutdown();
+    }
+
+    /// A runtime whose background work is driven by [`step_until`], with
+    /// every read-only transaction versioned (K1 = 0) and unversioning
+    /// allowed one clock tick after the last versioned commit.
+    fn stepped_rt(stripes: usize, k3: u64) -> Arc<MultiverseRuntime> {
+        MultiverseRuntime::start(MultiverseConfig {
+            stripes,
+            k1_versioned_after: 0,
+            k3_versioned_mode_u_after: k3,
+            l_delta_samples: 1,
+            min_unversion_threshold: 1,
+            bg_thread: false,
+            ..MultiverseConfig::small()
+        })
+    }
+
+    /// Run `bg_step` until `done` holds, at most `max` times; returns
+    /// whether `done` was reached.
+    fn step_until(
+        rt: &MultiverseRuntime,
+        max: usize,
+        done: impl Fn(&MultiverseRuntime) -> bool,
+    ) -> bool {
+        let mut ebr = rt.bg_ebr_handle();
+        let mut samples = Vec::new();
+        for _ in 0..max {
+            if done(rt) {
+                return true;
+            }
+            rt.bg_step(&mut ebr, &mut samples);
+        }
+        done(rt)
+    }
+
+    /// Read every variable in one read-only transaction.
+    fn read_all(h: &mut MultiverseHandle, vars: &[TVar<u64>]) -> u64 {
+        h.txn(TxKind::ReadOnly, |tx| {
+            let mut sum = 0;
+            for v in vars {
+                sum += tx.read_var(v)?;
+            }
+            Ok(sum)
+        })
+    }
+
+    #[test]
+    fn unversioning_visits_only_versioned_buckets() {
+        let rt = stepped_rt(1 << 18, MultiverseConfig::small().k3_versioned_mode_u_after);
+        let vars: Vec<TVar<u64>> = (0..8u64).map(TVar::new).collect();
+        let used: HashSet<usize> = vars
+            .iter()
+            .map(|v| rt.locks.index_of(v.word().addr()))
+            .collect();
+        let mut h = rt.register();
+        // Versioned in Mode Q: every address read gets a version list.
+        assert_eq!(read_all(&mut h, &vars), 28);
+        assert_eq!(rt.current_mode(), Mode::Q);
+        assert_eq!(rt.vlt.occupied_buckets(), used.len());
+        // Age the initial versions past the threshold.
+        rt.clock.tick(rt.clock.read());
+        rt.clock.tick(rt.clock.read());
+
+        assert!(
+            step_until(&rt, 100, |rt| rt.vlt.occupied_buckets() == 0),
+            "the versioned buckets were not unversioned within 100 steps"
+        );
+        assert_eq!(rt.unversioned_bucket_count(), used.len() as u64);
+        // Nothing is versioned any more, so a pass over the 1 << 18
+        // buckets visits none of them.
+        assert_eq!(rt.vlt.iter_occupied().count(), 0);
+        step_until(&rt, 1, |_| false);
+        assert_eq!(rt.unversioned_bucket_count(), used.len() as u64);
+    }
+
+    #[test]
+    fn dropping_a_sticky_handle_releases_mode_u() {
+        let rt = stepped_rt(MultiverseConfig::small().stripes, 0);
+        let vars: Vec<TVar<u64>> = (0..8u64).map(TVar::new).collect();
+        let mut sticky = rt.register();
+        // The first attempt versions every address and then aborts; with
+        // K3 = 0 that abort starts the move to Mode U and sets the handle's
+        // sticky bit. The retry commits.
+        let mut first = true;
+        sticky.txn(TxKind::ReadOnly, |tx| {
+            for v in &vars {
+                tx.read_var(v)?;
+            }
+            if std::mem::take(&mut first) {
+                Err(tm_api::Abort)
+            } else {
+                Ok(())
+            }
+        });
+        assert!(step_until(&rt, 100, |rt| rt.current_mode() == Mode::U));
+        // A second, short-lived reader announces the delta the
+        // unversioning heuristic samples once the TM is back in Mode Q.
+        let mut h = rt.register();
+        assert_eq!(read_all(&mut h, &vars[..1]), 0);
+        assert!(
+            !step_until(&rt, 20, |rt| rt.current_mode() != Mode::U),
+            "the live sticky handle must hold Mode U"
+        );
+
+        drop(sticky);
+        rt.clock.tick(rt.clock.read());
+        rt.clock.tick(rt.clock.read());
+        assert!(
+            step_until(&rt, 100, |rt| rt.current_mode() == Mode::Q
+                && rt.unversioned_bucket_count() > 0),
+            "a dropped sticky handle kept the TM in {:?} with {} buckets unversioned",
+            rt.current_mode(),
+            rt.unversioned_bucket_count()
+        );
+        assert_eq!(rt.registry.len(), 1, "the dropped handle's slot was pruned");
     }
 
     #[test]

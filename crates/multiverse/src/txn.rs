@@ -788,6 +788,10 @@ impl Drop for MultiverseTx {
             self.tick_clock(newest);
             self.flush_superseded();
         }
+        // A dropped handle must not keep the TM in Mode U or keep feeding
+        // the unversioning heuristic; the registry prunes the slot itself
+        // once this handle's reference is gone.
+        self.slot.withdraw(self.sticky_mode_u);
     }
 }
 

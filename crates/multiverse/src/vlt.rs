@@ -11,10 +11,42 @@
 //!
 //! Bucket nodes live in the epoch-recycled arena (`crate::arena`); a drained
 //! bucket chain is retired as a *single* EBR entry and recycled wholesale.
+//!
+//! # Occupancy bitmap
+//!
+//! Beside the buckets the table keeps one bit per bucket (32 KB at the
+//! default `1 << 18` stripes), so the background unversioning pass visits
+//! only non-empty buckets instead of sweeping the whole table. The
+//! invariant: **whenever no stripe lock is held, bit `i` is set exactly when
+//! bucket `i` is non-empty.** It holds because both bit transitions happen
+//! under stripe `i`'s lock, in the same critical section as the bucket
+//! change they mirror: [`Vlt::insert`] sets the bit when it fills an empty
+//! bucket, and [`Vlt::take_bucket`] clears it when it drains a non-empty
+//! one. The stripe lock serialises the two per bucket, and RMWs on other
+//! bits of a shared word commute, so the final bit always matches the
+//! final bucket state.
+//!
+//! Readers of the bitmap take no lock and may see a bit that is momentarily
+//! out of step with its bucket. That affects liveness only, never safety:
+//! the unversioning pass re-checks the bucket itself (unlocked
+//! `bucket_is_empty`, then the stripe `try_lock` in `unversion_bucket`), so
+//! a stale set bit costs one wasted probe, and a bit set just after the
+//! pass read its word leaves the bucket for the next pass.
+//! Only the rare empty→non-empty insert pays the extra RMW; inserts into an
+//! occupied bucket and every lookup touch the bitmap not at all.
 
 use crate::arena;
 use crate::version::{VersionList, VersionNode};
-use tm_api::sync::{AtomicPtr, Ordering};
+use tm_api::sync::{AtomicPtr, AtomicU64, Ordering};
+
+/// Buckets per occupancy word.
+const WORD_BITS: usize = u64::BITS as usize;
+
+/// The occupancy word holding bucket `idx`'s bit, and the bit's mask.
+#[inline]
+fn bit_of(idx: usize) -> (usize, u64) {
+    (idx / WORD_BITS, 1u64 << (idx % WORD_BITS))
+}
 
 /// One entry of a VLT bucket: the version list of a single address.
 ///
@@ -68,6 +100,9 @@ impl VltNode {
 #[derive(Debug)]
 pub struct Vlt {
     buckets: Box<[AtomicPtr<VltNode>]>,
+    /// One bit per bucket: set exactly when the bucket is non-empty (see
+    /// the module docs for the invariant and why it holds).
+    occupied: Box<[AtomicU64]>,
 }
 
 impl Vlt {
@@ -77,8 +112,12 @@ impl Vlt {
         let buckets: Vec<AtomicPtr<VltNode>> = (0..stripes)
             .map(|_| AtomicPtr::new(std::ptr::null_mut()))
             .collect();
+        let occupied: Vec<AtomicU64> = (0..stripes.div_ceil(WORD_BITS))
+            .map(|_| AtomicU64::new(0))
+            .collect();
         Self {
             buckets: buckets.into_boxed_slice(),
+            occupied: occupied.into_boxed_slice(),
         }
     }
 
@@ -117,7 +156,8 @@ impl Vlt {
         None
     }
 
-    /// Insert `node` at the front of bucket `idx`.
+    /// Insert `node` at the front of bucket `idx`, setting the bucket's
+    /// occupancy bit if the bucket was empty.
     ///
     /// # Safety
     /// `node` must be a valid, exclusively owned `VltNode` (not yet
@@ -129,14 +169,52 @@ impl Vlt {
         // Safety: we own `node` until it is published below.
         unsafe { &*node }.next.store(head, Ordering::Relaxed);
         self.buckets[idx].store(node, Ordering::Release);
+        if head.is_null() {
+            let (word, bit) = bit_of(idx);
+            self.occupied[word].fetch_or(bit, Ordering::Relaxed);
+        }
     }
 
-    /// Detach bucket `idx` and return its chain head (used by unversioning).
-    /// Caller must hold the stripe lock; the returned chain must be retired
-    /// through EBR (as one entry — see `arena::recycle_vlt_chain`).
+    /// Detach bucket `idx` and return its chain head (used by unversioning),
+    /// clearing the bucket's occupancy bit. Caller must hold the stripe
+    /// lock; the returned chain must be retired through EBR (as one entry —
+    /// see `arena::recycle_vlt_chain`).
     #[inline]
     pub fn take_bucket(&self, idx: usize) -> *mut VltNode {
-        self.buckets[idx].swap(std::ptr::null_mut(), Ordering::AcqRel)
+        let chain = self.buckets[idx].swap(std::ptr::null_mut(), Ordering::AcqRel);
+        if !chain.is_null() {
+            let (word, bit) = bit_of(idx);
+            self.occupied[word].fetch_and(!bit, Ordering::Relaxed);
+        }
+        chain
+    }
+
+    /// The indices of the buckets whose occupancy bit is set, in ascending
+    /// order. Each bitmap word is loaded once, when the iteration reaches
+    /// it, so a pass over an empty table costs one load per 64 buckets.
+    /// Unlocked: a bucket may fill or drain while the iteration runs (see
+    /// the module docs), so callers re-check the bucket itself.
+    pub fn iter_occupied(&self) -> impl Iterator<Item = usize> + '_ {
+        self.occupied.iter().enumerate().flat_map(|(w, word)| {
+            let mut bits = word.load(Ordering::Relaxed);
+            std::iter::from_fn(move || {
+                if bits == 0 {
+                    return None;
+                }
+                let b = bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                Some(w * WORD_BITS + b)
+            })
+        })
+    }
+
+    /// Number of buckets whose occupancy bit is set (diagnostics/tests;
+    /// exact at quiescence).
+    pub fn occupied_buckets(&self) -> usize {
+        self.occupied
+            .iter()
+            .map(|w| w.load(Ordering::Relaxed).count_ones() as usize)
+            .sum()
     }
 
     /// Whether bucket `idx` currently tracks any address.
@@ -178,9 +256,11 @@ impl Drop for Vlt {
     fn drop(&mut self) {
         // Runtime teardown: release any bucket chains that were never
         // unversioned back into the arena (node plus version-list head;
-        // non-head versions were already retired when superseded).
-        for bucket in self.buckets.iter() {
-            let mut cur = bucket.load(Ordering::Relaxed);
+        // non-head versions were already retired when superseded). At
+        // teardown the occupancy invariant is exact, so only buckets with a
+        // set bit can hold a chain.
+        for idx in self.iter_occupied() {
+            let mut cur = self.buckets[idx].load(Ordering::Relaxed);
             while !cur.is_null() {
                 let next = unsafe { &*cur }.next.load(Ordering::Relaxed);
                 // Safety: teardown — no other thread can reach the chain.
@@ -194,6 +274,8 @@ impl Drop for Vlt {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use std::collections::HashSet;
 
     #[test]
     fn find_in_empty_bucket_is_none() {
@@ -240,19 +322,61 @@ mod tests {
         let vlt = Vlt::new(4);
         unsafe { vlt.insert(3, VltNode::acquire(0x1000, 1, 1)) };
         unsafe { vlt.insert(3, VltNode::acquire(0x2000, 2, 2)) };
+        assert_eq!(vlt.iter_occupied().collect::<Vec<_>>(), vec![3]);
         let head = vlt.take_bucket(3);
         assert!(vlt.bucket_is_empty(3));
         assert!(!head.is_null());
-        // Release the detached chain manually (the runtime normally retires
-        // it through EBR as one chain entry).
-        let mut cur = head;
-        let mut count = 0;
+        assert_eq!(vlt.occupied_buckets(), 0);
+        assert!(
+            vlt.take_bucket(3).is_null(),
+            "an empty take returns nothing"
+        );
+        assert_eq!(release_chain(head), 2);
+    }
+
+    /// Release a detached chain (the runtime retires it through EBR).
+    fn release_chain(mut cur: *mut VltNode) -> usize {
+        let mut n = 0;
         while !cur.is_null() {
             let next = unsafe { &*cur }.next.load(Ordering::Relaxed);
             unsafe { VltNode::release(cur) };
             cur = next;
-            count += 1;
+            n += 1;
         }
-        assert_eq!(count, 2);
+        n
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Random insert / take sequences over a table spanning several
+        /// bitmap words: after every step a bucket's bit is set exactly
+        /// when the bucket is non-empty (`HashSet` oracle of occupied
+        /// buckets), and the set-bit walk yields exactly the oracle.
+        #[test]
+        fn occupancy_bit_tracks_bucket_emptiness(
+            ops in prop::collection::vec((any::<bool>(), 0usize..200), 1..300),
+        ) {
+            let vlt = Vlt::new(256);
+            let mut oracle: HashSet<usize> = HashSet::new();
+            let mut next_addr = 0x1000usize;
+            for (is_insert, idx) in ops {
+                if is_insert {
+                    next_addr += 8;
+                    unsafe { vlt.insert(idx, VltNode::acquire(next_addr, 1, 0)) };
+                    oracle.insert(idx);
+                } else {
+                    let taken = release_chain(vlt.take_bucket(idx));
+                    prop_assert_eq!(taken > 0, oracle.remove(&idx));
+                }
+                let mut expect: Vec<usize> = oracle.iter().copied().collect();
+                expect.sort_unstable();
+                prop_assert_eq!(vlt.iter_occupied().collect::<Vec<_>>(), expect);
+                prop_assert_eq!(vlt.occupied_buckets(), oracle.len());
+                for i in 0..vlt.len() {
+                    prop_assert_eq!(vlt.bucket_is_empty(i), !oracle.contains(&i));
+                }
+            }
+        }
     }
 }

@@ -6,42 +6,70 @@
 //!   demand (`versionThenRead`),
 //! * updaters append versions (superseding — and eventually recycling — the
 //!   previous ones through the clock-gated supersede queue),
-//! * the background thread unversions buckets aggressively (threshold 1),
-//!   retiring whole VLT chains as single EBR entries,
+//! * a stepper thread drives the background work (`bg_step`) and unversions
+//!   buckets aggressively (threshold 1), retiring whole VLT chains as
+//!   single EBR entries,
 //! * recycled slots immediately feed new versioning.
+//!
+//! Unversioning runs only in Mode Q, and the scanner's long scans put the
+//! TM in Mode U. So the scanner follows them with small read-only commits;
+//! the first `s_small_txns` clear its sticky bit. The stepper keeps
+//! stepping — with the updaters and the small reads still running — until
+//! the TM is back in Mode Q and has unversioned buckets. Both premises are
+//! asserted, so a run that never reached unversioning fails instead of
+//! passing vacuously.
 //!
 //! Reuse-before-grace would surface in three independent ways: the debug
 //! poison asserts in `VersionList::traverse` / `Vlt::find` (this test builds
 //! with `debug_assertions`), torn values breaking the transfer invariant
 //! checked inside every read-only scan, or crashes from walking a recycled
-//! link word. A clean run across many unversion cycles is the evidence the
-//! ISSUE asks for.
+//! link word. A clean run across many unversion cycles is the evidence.
 
-use multiverse::{MultiverseConfig, MultiverseRuntime};
+use multiverse::{Mode, MultiverseConfig, MultiverseRuntime};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
+use std::time::Duration;
 use tm_api::{TVar, TmHandle, TmRuntime, Transaction, TxKind};
+
+/// Background steps allowed, once the scanner is done, for the TM to reach
+/// Mode Q and unversion a bucket.
+const MAX_STEPS_AFTER_SCANS: usize = 20_000;
+
+/// Sets its flag when dropped, so a panicking thread still releases the
+/// threads waiting on it.
+struct SetOnDrop<'a>(&'a AtomicBool);
+
+impl Drop for SetOnDrop<'_> {
+    fn drop(&mut self) {
+        self.0.store(true, Ordering::Relaxed);
+    }
+}
 
 #[test]
 fn version_unversion_churn_recycles_safely() {
     const ACCOUNTS: usize = 128;
     const INITIAL: u64 = 1_000;
-    let rt = MultiverseRuntime::start(MultiverseConfig {
+    let cfg = MultiverseConfig {
         // Every read-only transaction runs versioned: constant list creation.
         k1_versioned_after: 0,
         // Unversion as fast as the heuristic allows: constant teardown.
         min_unversion_threshold: 1,
         l_delta_samples: 1,
         p_prefix_fraction: 1.0,
-        bg_sleep_us: 20,
+        // Background work runs on the stepper thread below.
+        bg_thread: false,
         // Few stripes => crowded buckets => multi-node chains get recycled.
         stripes: 64,
         ..MultiverseConfig::small()
-    });
+    };
+    let small_txns = cfg.s_small_txns;
+    let rt = MultiverseRuntime::start(cfg);
     let accounts: Arc<Vec<TVar<u64>>> =
         Arc::new((0..ACCOUNTS).map(|_| TVar::new(INITIAL)).collect());
     let expected = (ACCOUNTS as u64) * INITIAL;
-    let stop = Arc::new(AtomicBool::new(false));
+    let stop = &AtomicBool::new(false);
+    let scans_done = &AtomicBool::new(false);
+    let mut reached_q_after: Option<usize> = None;
 
     std::thread::scope(|s| {
         // Updaters: transfers keep the total invariant and continuously
@@ -49,7 +77,6 @@ fn version_unversion_churn_recycles_safely() {
         for t in 0..2u64 {
             let rt = Arc::clone(&rt);
             let accounts = Arc::clone(&accounts);
-            let stop = Arc::clone(&stop);
             s.spawn(move || {
                 let mut h = rt.register();
                 let mut x = t + 1;
@@ -72,11 +99,11 @@ fn version_unversion_churn_recycles_safely() {
                 }
             });
         }
-        // Versioned scanners: create version lists and verify snapshots.
+        // Versioned scanner: create version lists and verify snapshots.
         let rt_obs = Arc::clone(&rt);
         let accounts_obs = Arc::clone(&accounts);
-        let stop_obs = Arc::clone(&stop);
         s.spawn(move || {
+            let _done = SetOnDrop(scans_done);
             let mut h = rt_obs.register();
             for _ in 0..400 {
                 let sum = h.txn(TxKind::ReadOnly, |tx| {
@@ -88,9 +115,51 @@ fn version_unversion_churn_recycles_safely() {
                 });
                 assert_eq!(sum, expected, "snapshot must preserve the total balance");
             }
-            stop_obs.store(true, Ordering::Relaxed);
+            // Small commits: the first `small_txns` clear the sticky bit
+            // the long scans set. The rest keep versioning single accounts
+            // and keep a live handle announcing the delta the unversioning
+            // heuristic samples, until the stepper is done.
+            for i in 0.. {
+                if i == small_txns {
+                    scans_done.store(true, Ordering::Relaxed);
+                }
+                if stop.load(Ordering::Relaxed) {
+                    break;
+                }
+                let a = &accounts_obs[i as usize % ACCOUNTS];
+                h.txn(TxKind::ReadOnly, |tx| tx.read_var(a));
+            }
+        });
+        // Stepper: the background thread's work, until the TM has left
+        // Mode U and unversioned, or the step budget runs out.
+        let rt_bg = Arc::clone(&rt);
+        let reached = &mut reached_q_after;
+        s.spawn(move || {
+            let _stop = SetOnDrop(stop);
+            let mut ebr = rt_bg.bg_ebr_handle();
+            let mut samples = Vec::new();
+            let mut after = 0;
+            while after < MAX_STEPS_AFTER_SCANS {
+                rt_bg.bg_step(&mut ebr, &mut samples);
+                if scans_done.load(Ordering::Relaxed) {
+                    if rt_bg.current_mode() == Mode::Q && rt_bg.unversioned_bucket_count() > 0 {
+                        *reached = Some(after);
+                        break;
+                    }
+                    after += 1;
+                }
+                std::thread::sleep(Duration::from_micros(20));
+            }
         });
     });
+
+    assert!(
+        reached_q_after.is_some(),
+        "within {MAX_STEPS_AFTER_SCANS} steps after the scans the TM must be back in \
+         Mode Q and have unversioned buckets (mode {:?}, {} unversioned)",
+        rt.current_mode(),
+        rt.stats().buckets_unversioned
+    );
 
     let final_sum: u64 = accounts.iter().map(|a| a.load_direct()).sum();
     assert_eq!(final_sum, expected);

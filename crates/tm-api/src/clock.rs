@@ -132,29 +132,33 @@ impl GlobalClock {
 
     /// TL2 GV4-style commit timestamp acquisition: try to advance the clock by
     /// one with a CAS; if another thread advanced it concurrently, adopt that
-    /// thread's value instead of retrying. Returns the commit timestamp to use.
+    /// thread's value instead of retrying. [`Tick::value`] is the commit
+    /// timestamp to use; [`Tick::advanced`] is `false` when it was adopted,
+    /// in which case another writer may have committed at the same value.
     #[inline]
-    pub fn fetch_commit_gv4(&self, read_clock: u64) -> u64 {
+    pub fn fetch_commit_gv4(&self, read_clock: u64) -> Tick {
         let cur = self.value.load(Ordering::Acquire);
-        match self
-            .value
-            .compare_exchange(cur, cur + 1, Ordering::AcqRel, Ordering::Acquire)
-        {
-            Ok(_) => cur + 1,
-            Err(observed) => {
+        let (value, advanced, retries) =
+            match self
+                .value
+                .compare_exchange(cur, cur + 1, Ordering::AcqRel, Ordering::Acquire)
+            {
+                Ok(_) => (cur + 1, true, 0),
                 // Someone else advanced the clock. GV4: if it moved past our
                 // read clock we can simply reuse the observed value.
-                if observed > read_clock {
-                    observed
-                } else {
-                    self.increment()
-                }
-            }
+                Err(observed) if observed > read_clock => (observed, false, 1),
+                Err(_) => (self.increment(), true, 1),
+            };
+        Tick {
+            value,
+            advanced,
+            retries,
         }
     }
 }
 
-/// Outcome of a coalescing [`GlobalClock::tick`].
+/// Outcome of a coalescing [`GlobalClock::tick`] or of
+/// [`GlobalClock::fetch_commit_gv4`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Tick {
     /// The clock value after the call; always strictly greater than the
@@ -234,8 +238,9 @@ mod tests {
         let rv = c.read();
         let t1 = c.fetch_commit_gv4(rv);
         let t2 = c.fetch_commit_gv4(rv);
-        assert!(t1 > rv);
-        assert!(t2 >= t1);
+        // Uncontended: each call moves the clock itself.
+        assert_eq!((t1.value, t1.advanced), (rv + 1, true));
+        assert!(t2.value > t1.value && t2.advanced);
     }
 
     #[test]
@@ -378,18 +383,28 @@ mod tests {
                 let c = Arc::clone(&c);
                 std::thread::spawn(move || {
                     let mut last = 0;
+                    let mut advanced = Vec::new();
                     for _ in 0..5_000 {
                         let rv = c.read();
                         let t = c.fetch_commit_gv4(rv);
-                        assert!(t >= last, "commit timestamps must not go backwards");
-                        assert!(t > rv || t >= rv, "commit ts related to read clock");
-                        last = t;
+                        assert!(t.value >= last, "commit timestamps must not go backwards");
+                        assert!(t.value > rv, "commit ts must exceed the read clock");
+                        if t.advanced {
+                            advanced.push(t.value);
+                        }
+                        last = t.value;
                     }
+                    advanced
                 })
             })
             .collect();
+        // A value reported as `advanced` was written by that call alone:
+        // TL2's skip of read-set validation at `wv == rv + 1` relies on it.
+        let mut seen = std::collections::HashSet::new();
         for h in handles {
-            h.join().unwrap();
+            for v in h.join().unwrap() {
+                assert!(seen.insert(v), "two calls both advanced the clock to {v}");
+            }
         }
     }
 }

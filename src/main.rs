@@ -11,6 +11,9 @@ fn main() {
     println!("  baselines   TL2, DCTL, NOrec, TinySTM-style, global-lock oracle");
     println!("  txstructs   (a,b)-tree, AVL, external BST, hashmap, linked list");
     println!("  harness     workload generator, dedicated updaters, drivers, measurements");
+    println!("  wal         write-ahead log: group commit, checkpoints, recovery");
+    println!("  store       keyed KV service with a checksummed protocol and a std-only server");
+    println!("  sim         schedule explorer behind the `sim` feature");
     println!("  bench       per-figure reproduction binaries + Criterion micro-benches");
     println!();
     println!("Examples:   cargo run --release --example quickstart");
@@ -24,6 +27,8 @@ fn main() {
     println!("             fig13_hashmap, modes_table)");
     println!();
     println!("Tests:      cargo test --workspace");
+    println!("Benchmark:  cargo run --release --manifest-path benchmark/Cargo.toml -- run --smoke");
     println!("Benches:    cargo bench --workspace");
-    println!("See README.md, DESIGN.md and EXPERIMENTS.md for details.");
+    println!("See TESTING.md (checkers and tests), benchmark/README.md (the benchmark)");
+    println!("and ROADMAP.md (status and open items).");
 }

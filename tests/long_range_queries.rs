@@ -2,35 +2,108 @@
 //! queries over an (a,b)-tree keep committing while dedicated updater threads
 //! continuously modify the keys they cover, and Multiverse serves them from
 //! the versioned code path (engaging Mode U when it pays off).
+//!
+//! The tests assert counts, never throughput over a wall-clock window: the
+//! harness runs this binary's tests in parallel, so any timing-shaped
+//! comparison would depend on what its siblings happen to be doing.
 
-use harness::{run_workload, KeyDist, StructKind, TmKind, TrialConfig, WorkloadMix, WorkloadSpec};
+use baselines::Tl2Runtime;
 use multiverse::{Mode, MultiverseConfig, MultiverseRuntime};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-use tm_api::TmRuntime;
+use tm_api::{TmHandle, TmRuntime, TxKind};
 use txstructs::{TxAbTree, TxSet};
+
+/// Range queries per backend.
+const RQS: u64 = 12;
+/// Updater commits that must land before each range query starts, so the
+/// queries always run against live dedicated updaters.
+const UPDATES_PER_RQ: u64 = 50;
+/// Prefilled keys: the even keys below `2 * PREFILL`.
+const PREFILL: u64 = 4_000;
+/// Each range query spans 400 prefilled keys (10 % of the prefill).
+const RQ_SPAN: u64 = 2 * 400;
+
+/// What one backend's range-query phase did, read from counters.
+#[derive(Debug, Default)]
+struct RqPhase {
+    /// Range queries that committed.
+    committed: u64,
+    /// Range queries that exhausted their attempt budget.
+    gave_up: u64,
+    /// Attempts across all range queries (body invocations).
+    attempts: u64,
+    /// Updater commits that landed while the phase ran.
+    updates: u64,
+}
+
+/// Run `RQS` range queries, each given at most `max_attempts` attempts,
+/// against two dedicated updaters that insert and remove keys across the
+/// whole key range until the queries are done.
+fn rq_phase<R: TmRuntime>(tm: &Arc<R>, max_attempts: u64) -> RqPhase {
+    let tree = TxAbTree::new();
+    {
+        let mut h = tm.register();
+        for k in 0..PREFILL {
+            tree.insert(&mut h, 2 * k, k);
+        }
+    }
+    let stop = &AtomicBool::new(false);
+    let updates = &AtomicU64::new(0);
+    let tree = &tree;
+    let mut phase = RqPhase::default();
+    std::thread::scope(|s| {
+        for t in 0..2u64 {
+            let tm = Arc::clone(tm);
+            s.spawn(move || {
+                let mut h = tm.register();
+                let mut x = t + 1;
+                while !stop.load(Ordering::Relaxed) {
+                    x ^= x << 13;
+                    x ^= x >> 7;
+                    x ^= x << 17;
+                    let k = x % (2 * PREFILL);
+                    if x % 2 == 0 {
+                        tree.insert(&mut h, k, x);
+                    } else {
+                        tree.remove(&mut h, k);
+                    }
+                    updates.fetch_add(1, Ordering::Relaxed);
+                }
+            });
+        }
+        let mut h = tm.register();
+        for i in 0..RQS {
+            while updates.load(Ordering::Relaxed) < (i + 1) * UPDATES_PER_RQ {
+                std::thread::yield_now();
+            }
+            let lo = (i * 613) % (2 * PREFILL - RQ_SPAN);
+            let out = h.txn_budget(TxKind::ReadOnly, max_attempts, |tx| {
+                phase.attempts += 1;
+                tree.range_query_tx(tx, lo, lo + RQ_SPAN)
+            });
+            if out.is_committed() {
+                phase.committed += 1;
+            } else {
+                phase.gave_up += 1;
+            }
+        }
+        stop.store(true, Ordering::Relaxed);
+    });
+    phase.updates = updates.load(Ordering::Relaxed);
+    phase
+}
 
 #[test]
 fn range_queries_commit_under_dedicated_updaters_on_multiverse() {
-    let spec = WorkloadSpec {
-        key_range: 8_000,
-        prefill: 4_000,
-        mix: WorkloadMix::new(79.0, 1.0, 10.0, 10.0),
-        rq_size: 400, // 10% of the prefill: a long read
-        dist: KeyDist::Uniform,
-        dedicated_updaters: 2,
-    };
-    let trial = TrialConfig {
-        threads: 2,
-        seconds: 0.6,
-        seed: 77,
-    };
-    let r = run_workload(TmKind::Multiverse, StructKind::AbTree, &spec, &trial);
-    assert!(r.ops > 0);
-    assert!(
-        r.range_queries > 0,
-        "Multiverse should commit range queries despite the dedicated updaters"
+    let tm = MultiverseRuntime::start(MultiverseConfig::paper_defaults());
+    let mv = rq_phase(&tm, u64::MAX);
+    assert_eq!(
+        mv.committed, RQS,
+        "every Multiverse range query must commit: {mv:?}"
     );
+    assert!(mv.updates >= RQS * UPDATES_PER_RQ, "{mv:?}");
+    tm.shutdown();
 }
 
 #[test]
@@ -164,32 +237,32 @@ fn mode_machine_returns_to_q_after_demand_disappears() {
 
 #[test]
 fn unversioned_baseline_starves_on_the_same_workload() {
-    // Sanity check of the evaluation methodology: the same workload that
-    // Multiverse handles gives an unversioned STM (TL2) a much harder time.
-    // We only assert the *shape*: Multiverse commits at least as many range
-    // queries, and strictly more when the baseline commits few.
-    let spec = WorkloadSpec {
-        key_range: 8_000,
-        prefill: 4_000,
-        mix: WorkloadMix::new(79.0, 1.0, 10.0, 10.0),
-        rq_size: 400,
-        dist: KeyDist::Uniform,
-        dedicated_updaters: 2,
-    };
-    let trial = TrialConfig {
-        threads: 2,
-        seconds: 0.6,
-        seed: 99,
-    };
-    let mv = run_workload(TmKind::Multiverse, StructKind::AbTree, &spec, &trial);
-    let tl2 = run_workload(TmKind::Tl2, StructKind::AbTree, &spec, &trial);
-    assert!(mv.range_queries > 0);
-    // TL2 may still commit some RQs at this small scale; the robust claim is
-    // that Multiverse is not worse.
-    assert!(
-        mv.range_queries as f64 >= 0.5 * tl2.range_queries as f64,
-        "Multiverse committed {} RQs vs TL2 {}",
-        mv.range_queries,
-        tl2.range_queries
-    );
+    // Sanity check of the evaluation methodology on the workload Multiverse
+    // handles. Each backend gets the same query count; Multiverse must
+    // commit every query, while TL2 gets a bounded attempt budget per query
+    // and its attempt and give-up counts are read, not raced against a
+    // clock. TL2 may still commit every query at this small scale, so the
+    // robust claim is that Multiverse is not worse; how much better it is
+    // belongs to the benchmark (`multiverse.rq_vs_dctl_ratio`), which has
+    // noise bounds.
+    const TL2_MAX_ATTEMPTS: u64 = 200;
+    let mv_tm = MultiverseRuntime::start(MultiverseConfig::paper_defaults());
+    let mv = rq_phase(&mv_tm, u64::MAX);
+    mv_tm.shutdown();
+    let tl2_tm = Arc::new(Tl2Runtime::with_defaults());
+    let tl2 = rq_phase(&tl2_tm, TL2_MAX_ATTEMPTS);
+    eprintln!("multiverse {mv:?}\ntl2 {tl2:?}");
+
+    assert_eq!(mv.committed, RQS, "{mv:?}");
+    assert_eq!(mv.gave_up, 0, "{mv:?}");
+    // TL2's counters account for every query and attempt...
+    assert_eq!(tl2.committed + tl2.gave_up, RQS, "{tl2:?}");
+    assert_eq!(tl2_tm.stats().gave_up, tl2.gave_up, "{tl2:?}");
+    assert!(tl2.attempts >= RQS, "{tl2:?}");
+    assert!(tl2.attempts <= RQS * TL2_MAX_ATTEMPTS, "{tl2:?}");
+    // ...and whatever TL2 managed, Multiverse commits no fewer queries.
+    assert!(mv.committed >= tl2.committed);
+    for phase in [&mv, &tl2] {
+        assert!(phase.updates >= RQS * UPDATES_PER_RQ, "{phase:?}");
+    }
 }
