@@ -26,8 +26,8 @@ use tm_api::backoff::SpinWait;
 use tm_api::traits::Dtor;
 use tm_api::txset::{LockedStripes, StripeReadSet, UndoLog};
 use tm_api::{
-    Abort, Backoff, CachePadded, GlobalClock, LockTable, StatsRegistry, ThreadStats, TmHandle,
-    TmRuntime, TmStatsSnapshot, Transaction, TxKind, TxOutcome, TxWord, DEFAULT_STRIPES,
+    Abort, CachePadded, GlobalClock, Handle, LockTable, Protocol, StatsRegistry, ThreadStats,
+    TmRuntime, TmStatsSnapshot, Transaction, TxKind, TxWord, DEFAULT_STRIPES,
 };
 
 /// Configuration of a [`DctlRuntime`].
@@ -110,25 +110,11 @@ pub struct DctlTx {
     read_set: StripeReadSet,
     undo: UndoLog,
     locked: LockedStripes,
-    kind: TxKind,
     reads: u64,
     irrevocable: bool,
 }
 
 impl DctlTx {
-    fn begin(&mut self, kind: TxKind, irrevocable: bool) {
-        tm_api::record::on_begin(kind);
-        self.kind = kind;
-        self.irrevocable = irrevocable;
-        self.stats.starts.inc();
-        self.ebr.pin();
-        self.read_set.clear();
-        self.undo.clear();
-        debug_assert!(self.locked.is_empty());
-        self.reads = 0;
-        self.rv = self.rt.clock.read();
-    }
-
     /// Acquire `idx` for this transaction, spinning until the current holder
     /// releases it. Only used on the irrevocable path.
     fn lock_stripe_blocking(&mut self, idx: usize) {
@@ -148,47 +134,6 @@ impl DctlTx {
                 Err(_) => spin.spin(),
             }
         }
-    }
-
-    fn try_commit(&mut self) -> TxResult<()> {
-        // A transaction that claimed no stripe locks (read-only, or an
-        // updater that never wrote) has nothing to validate or release:
-        // per-read validation already guarantees its consistency. Note that
-        // *irrevocable* read-only transactions do hold locks (they lock on
-        // read) and must fall through to the release below.
-        if self.locked.is_empty() {
-            return Ok(());
-        }
-        if !self.irrevocable {
-            for &idx in &self.read_set {
-                let st = self.rt.locks.lock_at(idx).load();
-                if !st.validate(self.rv, self.tid) {
-                    return Err(Abort);
-                }
-            }
-        }
-        let commit_clock = self.rt.clock.read();
-        self.locked.release_all(&self.rt.locks, commit_clock);
-        Ok(())
-    }
-
-    fn finish_commit(&mut self) {
-        self.mem.on_commit(&mut self.ebr);
-        self.undo.clear();
-        self.read_set.clear();
-        self.ebr.unpin();
-    }
-
-    fn rollback_and_finish(&mut self) {
-        self.undo.rollback();
-        self.mem.on_abort();
-        // Deferred clock: the clock only advances on aborts, ensuring retries
-        // observe a fresher read clock (Listing 1 of the Multiverse paper,
-        // which inherits this from DCTL).
-        let next_clock = self.rt.clock.increment();
-        self.locked.release_all(&self.rt.locks, next_clock);
-        self.read_set.clear();
-        self.ebr.unpin();
     }
 }
 
@@ -262,89 +207,96 @@ impl Transaction for DctlTx {
     }
 }
 
-/// Per-thread DCTL handle.
-pub struct DctlHandle {
-    tx: DctlTx,
-    backoff: Backoff,
-}
+impl Protocol for DctlTx {
+    /// Past `irrevocable_after` attempts, the attempt first takes the single
+    /// irrevocability token; `commit` and `abort` give it back.
+    fn begin(&mut self, _kind: TxKind, attempt: u64) {
+        self.irrevocable = attempt >= self.rt.config.irrevocable_after;
+        if self.irrevocable {
+            self.rt.acquire_irrevocable(self.tid);
+        }
+        self.stats.starts.inc();
+        self.ebr.pin();
+        self.read_set.clear();
+        self.undo.clear();
+        debug_assert!(self.locked.is_empty());
+        self.reads = 0;
+        self.rv = self.rt.clock.read();
+    }
 
-impl TmHandle for DctlHandle {
-    type Tx = DctlTx;
-
-    fn txn_budget<R>(
-        &mut self,
-        kind: TxKind,
-        max_attempts: u64,
-        mut body: impl FnMut(&mut Self::Tx) -> TxResult<R>,
-    ) -> TxOutcome<R> {
-        let mut attempts = 0u64;
-        loop {
-            if attempts >= max_attempts {
-                self.tx.stats.gave_up.inc();
-                return TxOutcome::GaveUp;
-            }
-            let irrevocable = attempts >= self.tx.rt.config.irrevocable_after;
-            if irrevocable {
-                self.tx.rt.acquire_irrevocable(self.tx.tid);
-            }
-            attempts += 1;
-            self.tx.begin(kind, irrevocable);
-            let outcome = body(&mut self.tx).and_then(|r| self.tx.try_commit().map(|()| r));
-            match outcome {
-                Ok(r) => {
-                    tm_api::record::on_commit();
-                    self.tx.finish_commit();
-                    if irrevocable {
-                        self.tx.rt.release_irrevocable(self.tx.tid);
-                        self.tx.stats.irrevocable_commits.inc();
-                    }
-                    self.tx.stats.commits.inc();
-                    if kind == TxKind::ReadOnly {
-                        self.tx.stats.ro_commits.inc();
-                    } else {
-                        self.tx.stats.update_commits.inc();
-                    }
-                    self.backoff.reset();
-                    return TxOutcome::Committed(r);
-                }
-                Err(_) => {
-                    self.tx.rollback_and_finish();
-                    tm_api::record::on_abort();
-                    if irrevocable {
-                        // Only explicit user aborts can get here; the token
-                        // must still be released.
-                        self.tx.rt.release_irrevocable(self.tx.tid);
-                    }
-                    self.tx.stats.aborts.inc();
-                    self.backoff.abort_and_wait();
+    fn try_commit(&mut self) -> TxResult<()> {
+        // A transaction that claimed no stripe locks (read-only, or an
+        // updater that never wrote) has nothing to validate or release:
+        // per-read validation already guarantees its consistency. Note that
+        // *irrevocable* read-only transactions do hold locks (they lock on
+        // read) and must fall through to the release below.
+        if self.locked.is_empty() {
+            return Ok(());
+        }
+        if !self.irrevocable {
+            for &idx in &self.read_set {
+                let st = self.rt.locks.lock_at(idx).load();
+                if !st.validate(self.rv, self.tid) {
+                    return Err(Abort);
                 }
             }
         }
+        let commit_clock = self.rt.clock.read();
+        self.locked.release_all(&self.rt.locks, commit_clock);
+        Ok(())
+    }
+
+    fn commit(&mut self) {
+        self.mem.on_commit(&mut self.ebr);
+        self.undo.clear();
+        self.read_set.clear();
+        self.ebr.unpin();
+        if self.irrevocable {
+            self.rt.release_irrevocable(self.tid);
+            self.stats.irrevocable_commits.inc();
+        }
+    }
+
+    fn abort(&mut self) {
+        self.undo.rollback();
+        self.mem.on_abort();
+        // Deferred clock: the clock only advances on aborts, ensuring retries
+        // observe a fresher read clock (Listing 1 of the Multiverse paper,
+        // which inherits this from DCTL).
+        let next_clock = self.rt.clock.increment();
+        self.locked.release_all(&self.rt.locks, next_clock);
+        self.read_set.clear();
+        self.ebr.unpin();
+        if self.irrevocable {
+            // Only explicit user aborts can get here; the token must still be
+            // released.
+            self.rt.release_irrevocable(self.tid);
+        }
+    }
+
+    fn stats(&self) -> &ThreadStats {
+        &self.stats
     }
 }
 
 impl TmRuntime for DctlRuntime {
-    type Handle = DctlHandle;
+    type Handle = Handle<DctlTx>;
 
     fn register(self: &Arc<Self>) -> Self::Handle {
         let tid = (self.next_tid.fetch_add(1, Ordering::Relaxed)) & tm_api::MAX_TID;
-        DctlHandle {
-            tx: DctlTx {
-                rt: Arc::clone(self),
-                tid,
-                stats: self.stats.register(),
-                ebr: LocalHandle::new(Arc::clone(&self.ebr)),
-                mem: TxMem::new(),
-                rv: 0,
-                read_set: StripeReadSet::new(),
-                undo: UndoLog::default(),
-                locked: LockedStripes::default(),
-                kind: TxKind::ReadOnly,
-                reads: 0,
-                irrevocable: false,
-            },
-            backoff: Backoff::new(),
-        }
+        Handle::new(DctlTx {
+            rt: Arc::clone(self),
+            tid,
+            stats: self.stats.register(),
+            ebr: LocalHandle::new(Arc::clone(&self.ebr)),
+            mem: TxMem::new(),
+            rv: 0,
+            read_set: StripeReadSet::new(),
+            undo: UndoLog::default(),
+            locked: LockedStripes::default(),
+            reads: 0,
+            irrevocable: false,
+        })
     }
 
     fn name(&self) -> &'static str {
@@ -359,7 +311,7 @@ impl TmRuntime for DctlRuntime {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tm_api::TVar;
+    use tm_api::{TVar, TmHandle};
 
     fn runtime() -> Arc<DctlRuntime> {
         Arc::new(DctlRuntime::new(DctlConfig {

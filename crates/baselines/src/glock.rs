@@ -7,14 +7,13 @@
 
 use ebr::{Collector, LocalHandle, TxMem};
 use parking_lot::Mutex;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use tm_api::abort::TxResult;
 use tm_api::traits::Dtor;
 use tm_api::txset::UndoLog;
 use tm_api::{
-    StatsRegistry, ThreadStats, TmHandle, TmRuntime, TmStatsSnapshot, Transaction, TxKind,
-    TxOutcome, TxWord,
+    Handle, Protocol, StatsRegistry, ThreadStats, TmRuntime, TmStatsSnapshot, Transaction, TxKind,
+    TxWord,
 };
 
 /// Shared state of the global-lock TM.
@@ -23,7 +22,6 @@ pub struct GlockRuntime {
     mutex: Mutex<()>,
     stats: StatsRegistry,
     ebr: Arc<Collector>,
-    next_tid: AtomicU64,
 }
 
 impl Default for GlockRuntime {
@@ -39,7 +37,6 @@ impl GlockRuntime {
             mutex: Mutex::new(()),
             stats: StatsRegistry::new(),
             ebr: Arc::new(Collector::new()),
-            next_tid: AtomicU64::new(1),
         }
     }
 }
@@ -52,35 +49,40 @@ pub struct GlockTx {
     mem: TxMem,
     undo: UndoLog,
     reads: u64,
-    /// Whether the global mutex is currently held by this descriptor.
-    holding: bool,
 }
 
 impl GlockTx {
-    fn begin(&mut self) {
+    fn release(&mut self) {
+        // Safety: `begin` forgot the guard, so the mutex is held by us.
+        unsafe { self.rt.mutex.force_unlock() };
+        self.ebr.unpin();
+    }
+}
+
+impl Protocol for GlockTx {
+    fn begin(&mut self, _kind: TxKind, _attempt: u64) {
         self.stats.starts.inc();
         self.ebr.pin();
-        // Safety of the raw lock/unlock pairing: `holding` tracks ownership
-        // and `finish` is always called exactly once per `begin`.
+        // Safety of the raw lock/unlock pairing: `Handle` follows every
+        // `begin` with exactly one `commit` or `abort`, and both release.
         std::mem::forget(self.rt.mutex.lock());
-        self.holding = true;
         self.reads = 0;
     }
 
-    fn finish(&mut self, committed: bool) {
-        if committed {
-            self.undo.clear();
-            self.mem.on_commit(&mut self.ebr);
-        } else {
-            self.undo.rollback();
-            self.mem.on_abort();
-        }
-        if self.holding {
-            // Safety: we forgot the guard in `begin`, so the mutex is held by us.
-            unsafe { self.rt.mutex.force_unlock() };
-            self.holding = false;
-        }
-        self.ebr.unpin();
+    fn commit(&mut self) {
+        self.undo.clear();
+        self.mem.on_commit(&mut self.ebr);
+        self.release();
+    }
+
+    fn abort(&mut self) {
+        self.undo.rollback();
+        self.mem.on_abort();
+        self.release();
+    }
+
+    fn stats(&self) -> &ThreadStats {
+        &self.stats
     }
 }
 
@@ -114,69 +116,18 @@ impl Transaction for GlockTx {
     }
 }
 
-/// Per-thread handle of the global-lock TM.
-pub struct GlockHandle {
-    tx: GlockTx,
-}
-
-impl TmHandle for GlockHandle {
-    type Tx = GlockTx;
-
-    fn txn_budget<R>(
-        &mut self,
-        kind: TxKind,
-        max_attempts: u64,
-        mut body: impl FnMut(&mut Self::Tx) -> TxResult<R>,
-    ) -> TxOutcome<R> {
-        let _ = kind;
-        let mut attempts = 0u64;
-        loop {
-            if attempts >= max_attempts {
-                self.tx.stats.gave_up.inc();
-                return TxOutcome::GaveUp;
-            }
-            attempts += 1;
-            tm_api::record::on_begin(kind);
-            self.tx.begin();
-            match body(&mut self.tx) {
-                Ok(r) => {
-                    self.tx.finish(true);
-                    tm_api::record::on_commit();
-                    self.tx.stats.commits.inc();
-                    if kind == TxKind::ReadOnly {
-                        self.tx.stats.ro_commits.inc();
-                    } else {
-                        self.tx.stats.update_commits.inc();
-                    }
-                    return TxOutcome::Committed(r);
-                }
-                Err(_) => {
-                    // Only explicit user aborts can reach this point.
-                    self.tx.finish(false);
-                    tm_api::record::on_abort();
-                    self.tx.stats.aborts.inc();
-                }
-            }
-        }
-    }
-}
-
 impl TmRuntime for GlockRuntime {
-    type Handle = GlockHandle;
+    type Handle = Handle<GlockTx>;
 
     fn register(self: &Arc<Self>) -> Self::Handle {
-        let _tid = self.next_tid.fetch_add(1, Ordering::Relaxed);
-        GlockHandle {
-            tx: GlockTx {
-                rt: Arc::clone(self),
-                stats: self.stats.register(),
-                ebr: LocalHandle::new(Arc::clone(&self.ebr)),
-                mem: TxMem::new(),
-                undo: UndoLog::default(),
-                reads: 0,
-                holding: false,
-            },
-        }
+        Handle::new(GlockTx {
+            rt: Arc::clone(self),
+            stats: self.stats.register(),
+            ebr: LocalHandle::new(Arc::clone(&self.ebr)),
+            mem: TxMem::new(),
+            undo: UndoLog::default(),
+            reads: 0,
+        })
     }
 
     fn name(&self) -> &'static str {
@@ -191,7 +142,7 @@ impl TmRuntime for GlockRuntime {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tm_api::TVar;
+    use tm_api::{TVar, TmHandle, TxOutcome};
 
     #[test]
     fn simple_read_write_commit() {

@@ -18,9 +18,12 @@
 //! * [`glock`] — a single global mutex "TM" used by the test suite as a
 //!   sequential oracle (not part of the paper's evaluation).
 //!
-//! All of them implement the [`tm_api::TmRuntime`] / [`tm_api::TmHandle`] /
-//! [`tm_api::Transaction`] traits, so the transactional data structures and
-//! the benchmark harness treat them interchangeably with Multiverse. Their
+//! Each baseline is a [`tm_api::TmRuntime`] plus a transaction descriptor
+//! that implements [`tm_api::Transaction`] and [`tm_api::Protocol`] (the
+//! per-attempt `begin` / `try_commit` / `commit` / `abort` hooks). Its
+//! per-thread handle is [`tm_api::Handle`] over that descriptor, the same
+//! retry loop Multiverse runs, so the transactional data structures and the
+//! benchmark harness treat them interchangeably with Multiverse. Their
 //! per-attempt bookkeeping (read sets, undo/redo logs, locked-stripe lists)
 //! comes straight from [`tm_api::txset`] — the shared allocation-free
 //! hot-path primitive layer — so Multiverse and every baseline run on the

@@ -16,8 +16,8 @@ use tm_api::backoff::SpinWait;
 use tm_api::traits::Dtor;
 use tm_api::txset::{RedoLog, ValueReadSet};
 use tm_api::{
-    Abort, Backoff, CachePadded, StatsRegistry, ThreadStats, TmHandle, TmRuntime, TmStatsSnapshot,
-    Transaction, TxKind, TxOutcome, TxWord,
+    Abort, CachePadded, Handle, Protocol, StatsRegistry, ThreadStats, TmRuntime, TmStatsSnapshot,
+    Transaction, TxKind, TxWord,
 };
 
 /// Shared state of the NOrec STM: just the global sequence lock.
@@ -77,17 +77,6 @@ pub struct NorecTx {
 }
 
 impl NorecTx {
-    fn begin(&mut self, kind: TxKind) {
-        tm_api::record::on_begin(kind);
-        self.kind = kind;
-        self.stats.starts.inc();
-        self.ebr.pin();
-        self.reads_values.clear();
-        self.redo.clear();
-        self.reads = 0;
-        self.rv = self.rt.wait_even();
-    }
-
     /// Value-based validation: wait for a quiescent (even) sequence number,
     /// re-read every recorded location, and return the new snapshot number.
     fn validate(&mut self) -> TxResult<u64> {
@@ -100,6 +89,18 @@ impl NorecTx {
                 return Ok(t);
             }
         }
+    }
+}
+
+impl Protocol for NorecTx {
+    fn begin(&mut self, kind: TxKind, _attempt: u64) {
+        self.kind = kind;
+        self.stats.starts.inc();
+        self.ebr.pin();
+        self.reads_values.clear();
+        self.redo.clear();
+        self.reads = 0;
+        self.rv = self.rt.wait_even();
     }
 
     fn try_commit(&mut self) -> TxResult<()> {
@@ -126,18 +127,22 @@ impl NorecTx {
         Ok(())
     }
 
-    fn finish_commit(&mut self) {
+    fn commit(&mut self) {
         self.mem.on_commit(&mut self.ebr);
         self.reads_values.clear();
         self.redo.clear();
         self.ebr.unpin();
     }
 
-    fn finish_abort(&mut self) {
+    fn abort(&mut self) {
         self.mem.on_abort();
         self.reads_values.clear();
         self.redo.clear();
         self.ebr.unpin();
+    }
+
+    fn stats(&self) -> &ThreadStats {
+        &self.stats
     }
 }
 
@@ -179,72 +184,21 @@ impl Transaction for NorecTx {
     }
 }
 
-/// Per-thread NOrec handle.
-pub struct NorecHandle {
-    tx: NorecTx,
-    backoff: Backoff,
-}
-
-impl TmHandle for NorecHandle {
-    type Tx = NorecTx;
-
-    fn txn_budget<R>(
-        &mut self,
-        kind: TxKind,
-        max_attempts: u64,
-        mut body: impl FnMut(&mut Self::Tx) -> TxResult<R>,
-    ) -> TxOutcome<R> {
-        let mut attempts = 0u64;
-        loop {
-            if attempts >= max_attempts {
-                self.tx.stats.gave_up.inc();
-                return TxOutcome::GaveUp;
-            }
-            attempts += 1;
-            self.tx.begin(kind);
-            let outcome = body(&mut self.tx).and_then(|r| self.tx.try_commit().map(|()| r));
-            match outcome {
-                Ok(r) => {
-                    tm_api::record::on_commit();
-                    self.tx.finish_commit();
-                    self.tx.stats.commits.inc();
-                    if kind == TxKind::ReadOnly {
-                        self.tx.stats.ro_commits.inc();
-                    } else {
-                        self.tx.stats.update_commits.inc();
-                    }
-                    self.backoff.reset();
-                    return TxOutcome::Committed(r);
-                }
-                Err(_) => {
-                    self.tx.finish_abort();
-                    tm_api::record::on_abort();
-                    self.tx.stats.aborts.inc();
-                    self.backoff.abort_and_wait();
-                }
-            }
-        }
-    }
-}
-
 impl TmRuntime for NorecRuntime {
-    type Handle = NorecHandle;
+    type Handle = Handle<NorecTx>;
 
     fn register(self: &Arc<Self>) -> Self::Handle {
-        NorecHandle {
-            tx: NorecTx {
-                rt: Arc::clone(self),
-                stats: self.stats.register(),
-                ebr: LocalHandle::new(Arc::clone(&self.ebr)),
-                mem: TxMem::new(),
-                rv: 0,
-                reads_values: ValueReadSet::default(),
-                redo: RedoLog::default(),
-                kind: TxKind::ReadOnly,
-                reads: 0,
-            },
-            backoff: Backoff::new(),
-        }
+        Handle::new(NorecTx {
+            rt: Arc::clone(self),
+            stats: self.stats.register(),
+            ebr: LocalHandle::new(Arc::clone(&self.ebr)),
+            mem: TxMem::new(),
+            rv: 0,
+            reads_values: ValueReadSet::default(),
+            redo: RedoLog::default(),
+            kind: TxKind::ReadOnly,
+            reads: 0,
+        })
     }
 
     fn name(&self) -> &'static str {
@@ -259,7 +213,7 @@ impl TmRuntime for NorecRuntime {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tm_api::TVar;
+    use tm_api::{TVar, TmHandle};
 
     #[test]
     fn read_write_commit() {

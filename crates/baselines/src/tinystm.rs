@@ -16,8 +16,8 @@ use tm_api::txset::InlineVec;
 use tm_api::txset::{StripeReadSet, UndoLog};
 use tm_api::vlock::LockState;
 use tm_api::{
-    Abort, Backoff, GlobalClock, LockTable, StatsRegistry, ThreadStats, TmHandle, TmRuntime,
-    TmStatsSnapshot, Transaction, TxKind, TxOutcome, TxWord, DEFAULT_STRIPES,
+    Abort, GlobalClock, Handle, LockTable, Protocol, StatsRegistry, ThreadStats, TmRuntime,
+    TmStatsSnapshot, Transaction, TxKind, TxWord, DEFAULT_STRIPES,
 };
 
 /// Configuration of a [`TinyStmRuntime`].
@@ -25,15 +25,12 @@ use tm_api::{
 pub struct TinyStmConfig {
     /// Number of lock stripes.
     pub stripes: usize,
-    /// Whether snapshot extension is enabled (TinySTM's hallmark feature).
-    pub snapshot_extension: bool,
 }
 
 impl Default for TinyStmConfig {
     fn default() -> Self {
         Self {
             stripes: DEFAULT_STRIPES,
-            snapshot_extension: true,
         }
     }
 }
@@ -46,7 +43,6 @@ pub struct TinyStmRuntime {
     stats: StatsRegistry,
     ebr: Arc<Collector>,
     next_tid: AtomicU64,
-    config: TinyStmConfig,
 }
 
 impl TinyStmRuntime {
@@ -58,7 +54,6 @@ impl TinyStmRuntime {
             stats: StatsRegistry::new(),
             ebr: Arc::new(Collector::new()),
             next_tid: AtomicU64::new(1),
-            config,
         }
     }
 
@@ -87,24 +82,9 @@ pub struct TinyStmTx {
 }
 
 impl TinyStmTx {
-    fn begin(&mut self, kind: TxKind) {
-        tm_api::record::on_begin(kind);
-        self.kind = kind;
-        self.stats.starts.inc();
-        self.ebr.pin();
-        self.read_set.clear();
-        self.undo.clear();
-        debug_assert!(self.locked.is_empty());
-        self.reads = 0;
-        self.rv = self.rt.clock.read();
-    }
-
     /// Revalidate the read set against the *original* read clock and, if
     /// everything is unchanged, extend the snapshot to the current clock.
     fn try_extend(&mut self) -> TxResult<()> {
-        if !self.rt.config.snapshot_extension {
-            return Err(Abort);
-        }
         let new_rv = self.rt.clock.read();
         for &idx in &self.read_set {
             let st = self.rt.locks.lock_at(idx).load();
@@ -115,6 +95,19 @@ impl TinyStmTx {
         }
         self.rv = new_rv;
         Ok(())
+    }
+}
+
+impl Protocol for TinyStmTx {
+    fn begin(&mut self, kind: TxKind, _attempt: u64) {
+        self.kind = kind;
+        self.stats.starts.inc();
+        self.ebr.pin();
+        self.read_set.clear();
+        self.undo.clear();
+        debug_assert!(self.locked.is_empty());
+        self.reads = 0;
+        self.rv = self.rt.clock.read();
     }
 
     fn try_commit(&mut self) -> TxResult<()> {
@@ -138,14 +131,14 @@ impl TinyStmTx {
         Ok(())
     }
 
-    fn finish_commit(&mut self) {
+    fn commit(&mut self) {
         self.mem.on_commit(&mut self.ebr);
         self.undo.clear();
         self.read_set.clear();
         self.ebr.unpin();
     }
 
-    fn rollback_and_finish(&mut self) {
+    fn abort(&mut self) {
         self.undo.rollback();
         self.mem.on_abort();
         // Values were restored, so restoring the pre-lock versions is
@@ -156,6 +149,10 @@ impl TinyStmTx {
         self.locked.clear();
         self.read_set.clear();
         self.ebr.unpin();
+    }
+
+    fn stats(&self) -> &ThreadStats {
+        &self.stats
     }
 }
 
@@ -230,75 +227,24 @@ impl Transaction for TinyStmTx {
     }
 }
 
-/// Per-thread TinySTM handle.
-pub struct TinyStmHandle {
-    tx: TinyStmTx,
-    backoff: Backoff,
-}
-
-impl TmHandle for TinyStmHandle {
-    type Tx = TinyStmTx;
-
-    fn txn_budget<R>(
-        &mut self,
-        kind: TxKind,
-        max_attempts: u64,
-        mut body: impl FnMut(&mut Self::Tx) -> TxResult<R>,
-    ) -> TxOutcome<R> {
-        let mut attempts = 0u64;
-        loop {
-            if attempts >= max_attempts {
-                self.tx.stats.gave_up.inc();
-                return TxOutcome::GaveUp;
-            }
-            attempts += 1;
-            self.tx.begin(kind);
-            let outcome = body(&mut self.tx).and_then(|r| self.tx.try_commit().map(|()| r));
-            match outcome {
-                Ok(r) => {
-                    tm_api::record::on_commit();
-                    self.tx.finish_commit();
-                    self.tx.stats.commits.inc();
-                    if kind == TxKind::ReadOnly {
-                        self.tx.stats.ro_commits.inc();
-                    } else {
-                        self.tx.stats.update_commits.inc();
-                    }
-                    self.backoff.reset();
-                    return TxOutcome::Committed(r);
-                }
-                Err(_) => {
-                    self.tx.rollback_and_finish();
-                    tm_api::record::on_abort();
-                    self.tx.stats.aborts.inc();
-                    self.backoff.abort_and_wait();
-                }
-            }
-        }
-    }
-}
-
 impl TmRuntime for TinyStmRuntime {
-    type Handle = TinyStmHandle;
+    type Handle = Handle<TinyStmTx>;
 
     fn register(self: &Arc<Self>) -> Self::Handle {
         let tid = (self.next_tid.fetch_add(1, Ordering::Relaxed)) & tm_api::MAX_TID;
-        TinyStmHandle {
-            tx: TinyStmTx {
-                rt: Arc::clone(self),
-                tid,
-                stats: self.stats.register(),
-                ebr: LocalHandle::new(Arc::clone(&self.ebr)),
-                mem: TxMem::new(),
-                rv: 0,
-                read_set: StripeReadSet::new(),
-                undo: UndoLog::default(),
-                locked: InlineVec::new(),
-                kind: TxKind::ReadOnly,
-                reads: 0,
-            },
-            backoff: Backoff::new(),
-        }
+        Handle::new(TinyStmTx {
+            rt: Arc::clone(self),
+            tid,
+            stats: self.stats.register(),
+            ebr: LocalHandle::new(Arc::clone(&self.ebr)),
+            mem: TxMem::new(),
+            rv: 0,
+            read_set: StripeReadSet::new(),
+            undo: UndoLog::default(),
+            locked: InlineVec::new(),
+            kind: TxKind::ReadOnly,
+            reads: 0,
+        })
     }
 
     fn name(&self) -> &'static str {
@@ -313,13 +259,10 @@ impl TmRuntime for TinyStmRuntime {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tm_api::TVar;
+    use tm_api::{TVar, TmHandle};
 
     fn runtime() -> Arc<TinyStmRuntime> {
-        Arc::new(TinyStmRuntime::new(TinyStmConfig {
-            stripes: 1 << 12,
-            snapshot_extension: true,
-        }))
+        Arc::new(TinyStmRuntime::new(TinyStmConfig { stripes: 1 << 12 }))
     }
 
     #[test]

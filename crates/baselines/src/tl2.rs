@@ -23,8 +23,8 @@ use tm_api::txset::InlineVec;
 use tm_api::txset::{LockedStripes, RedoLog, StripeReadSet};
 use tm_api::vlock::LockState;
 use tm_api::{
-    Abort, Backoff, GlobalClock, LockTable, StatsRegistry, ThreadStats, TmHandle, TmRuntime,
-    TmStatsSnapshot, Transaction, TxKind, TxOutcome, TxWord, DEFAULT_STRIPES,
+    Abort, GlobalClock, Handle, LockTable, Protocol, StatsRegistry, ThreadStats, TmRuntime,
+    TmStatsSnapshot, Transaction, TxKind, TxWord, DEFAULT_STRIPES,
 };
 
 /// Configuration of a [`Tl2Runtime`].
@@ -84,9 +84,14 @@ pub struct Tl2Tx {
     reads: u64,
 }
 
-impl Tl2Tx {
-    fn begin(&mut self, kind: TxKind) {
-        tm_api::record::on_begin(kind);
+fn release_acquired(rt: &Tl2Runtime, acquired: &[(usize, LockState)]) {
+    for &(idx, prev) in acquired {
+        rt.locks.lock_at(idx).unlock_restore(prev);
+    }
+}
+
+impl Protocol for Tl2Tx {
+    fn begin(&mut self, kind: TxKind, _attempt: u64) {
         self.kind = kind;
         self.stats.starts.inc();
         self.ebr.pin();
@@ -122,14 +127,14 @@ impl Tl2Tx {
                     // read of the same stripe that is not in the read set).
                     if prev.version > self.rv {
                         self.rt.locks.lock_at(idx).unlock_restore(prev);
-                        Self::release_acquired(&self.rt, acquired.as_slice());
+                        release_acquired(&self.rt, acquired.as_slice());
                         return Err(Abort);
                     }
                     acquired.push((idx, prev));
                     held.push(idx);
                 }
                 Err(_) => {
-                    Self::release_acquired(&self.rt, acquired.as_slice());
+                    release_acquired(&self.rt, acquired.as_slice());
                     return Err(Abort);
                 }
             }
@@ -148,7 +153,7 @@ impl Tl2Tx {
                 let mine = st.locked && st.tid == self.tid;
                 let ok = mine || (!st.locked && st.version <= self.rv);
                 if !ok {
-                    Self::release_acquired(&self.rt, acquired.as_slice());
+                    release_acquired(&self.rt, acquired.as_slice());
                     return Err(Abort);
                 }
             }
@@ -161,24 +166,22 @@ impl Tl2Tx {
         Ok(())
     }
 
-    fn release_acquired(rt: &Tl2Runtime, acquired: &[(usize, LockState)]) {
-        for &(idx, prev) in acquired {
-            rt.locks.lock_at(idx).unlock_restore(prev);
-        }
-    }
-
-    fn finish_commit(&mut self) {
+    fn commit(&mut self) {
         self.mem.on_commit(&mut self.ebr);
         self.read_set.clear();
         self.redo.clear();
         self.ebr.unpin();
     }
 
-    fn finish_abort(&mut self) {
+    fn abort(&mut self) {
         self.mem.on_abort();
         self.read_set.clear();
         self.redo.clear();
         self.ebr.unpin();
+    }
+
+    fn stats(&self) -> &ThreadStats {
+        &self.stats
     }
 }
 
@@ -228,74 +231,23 @@ impl Transaction for Tl2Tx {
     }
 }
 
-/// Per-thread TL2 handle.
-pub struct Tl2Handle {
-    tx: Tl2Tx,
-    backoff: Backoff,
-}
-
-impl TmHandle for Tl2Handle {
-    type Tx = Tl2Tx;
-
-    fn txn_budget<R>(
-        &mut self,
-        kind: TxKind,
-        max_attempts: u64,
-        mut body: impl FnMut(&mut Self::Tx) -> TxResult<R>,
-    ) -> TxOutcome<R> {
-        let mut attempts = 0u64;
-        loop {
-            if attempts >= max_attempts {
-                self.tx.stats.gave_up.inc();
-                return TxOutcome::GaveUp;
-            }
-            attempts += 1;
-            self.tx.begin(kind);
-            let outcome = body(&mut self.tx).and_then(|r| self.tx.try_commit().map(|()| r));
-            match outcome {
-                Ok(r) => {
-                    tm_api::record::on_commit();
-                    self.tx.finish_commit();
-                    self.tx.stats.commits.inc();
-                    if kind == TxKind::ReadOnly {
-                        self.tx.stats.ro_commits.inc();
-                    } else {
-                        self.tx.stats.update_commits.inc();
-                    }
-                    self.backoff.reset();
-                    return TxOutcome::Committed(r);
-                }
-                Err(_) => {
-                    self.tx.finish_abort();
-                    tm_api::record::on_abort();
-                    self.tx.stats.aborts.inc();
-                    self.backoff.abort_and_wait();
-                }
-            }
-        }
-    }
-}
-
 impl TmRuntime for Tl2Runtime {
-    type Handle = Tl2Handle;
+    type Handle = Handle<Tl2Tx>;
 
     fn register(self: &Arc<Self>) -> Self::Handle {
         let tid = self.next_tid.fetch_add(1, Ordering::Relaxed) & tm_api::MAX_TID;
-        Tl2Handle {
-            tx: Tl2Tx {
-                rt: Arc::clone(self),
-                tid,
-                stats: self.stats.register(),
-                ebr: LocalHandle::new(Arc::clone(&self.ebr)),
-                mem: TxMem::new(),
-                read_set: StripeReadSet::new(),
-                redo: RedoLog::default(),
-                rv: 0,
-                kind: TxKind::ReadOnly,
-                reads: 0,
-            },
-            backoff: Backoff::new(),
-        }
+        Handle::new(Tl2Tx {
+            rt: Arc::clone(self),
+            tid,
+            stats: self.stats.register(),
+            ebr: LocalHandle::new(Arc::clone(&self.ebr)),
+            mem: TxMem::new(),
+            read_set: StripeReadSet::new(),
+            redo: RedoLog::default(),
+            rv: 0,
+            kind: TxKind::ReadOnly,
+            reads: 0,
+        })
     }
 
     fn name(&self) -> &'static str {
@@ -310,7 +262,7 @@ impl TmRuntime for Tl2Runtime {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tm_api::TVar;
+    use tm_api::{TVar, TmHandle};
 
     fn runtime() -> Arc<Tl2Runtime> {
         Arc::new(Tl2Runtime::new(Tl2Config { stripes: 1 << 12 }))

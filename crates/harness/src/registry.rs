@@ -212,7 +212,6 @@ pub fn with_backend<V: BackendVisitor>(tm: TmKind, scale: RuntimeScale, visitor:
         TmKind::Norec => visitor.visit(Arc::new(NorecRuntime::new())),
         TmKind::TinyStm => visitor.visit(Arc::new(TinyStmRuntime::new(baselines::TinyStmConfig {
             stripes,
-            ..Default::default()
         }))),
         TmKind::Glock => visitor.visit(Arc::new(GlockRuntime::new())),
     }

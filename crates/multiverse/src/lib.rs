@@ -59,5 +59,5 @@ pub mod vlt;
 
 pub use config::{ForcedMode, MultiverseConfig};
 pub use modes::Mode;
-pub use runtime::{MultiverseHandle, MultiverseRuntime};
+pub use runtime::MultiverseRuntime;
 pub use txn::MultiverseTx;

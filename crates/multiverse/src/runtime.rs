@@ -1,6 +1,6 @@
-//! The shared Multiverse runtime, the per-thread handle, and the background
-//! thread that performs mode transitions and unversioning (paper §3.3, §4.3,
-//! §4.4, Listing 6).
+//! The shared Multiverse runtime and the background thread that performs
+//! mode transitions and unversioning (paper §3.3, §4.3, §4.4, Listing 6).
+//! The per-thread handle is `tm_api::Handle<MultiverseTx>`.
 
 use crate::arena;
 use crate::config::{ForcedMode, MultiverseConfig};
@@ -12,11 +12,10 @@ use ebr::{Collector, LocalHandle};
 use std::sync::{Arc, Weak};
 use std::thread::JoinHandle;
 use std::time::Duration;
-use tm_api::abort::TxResult;
 use tm_api::sync::{AtomicBool, AtomicI64, AtomicU64, Mutex, Ordering};
 use tm_api::{
-    Backoff, BloomTable, CachePadded, GlobalClock, LockTable, StatsRegistry, TmHandle, TmRuntime,
-    TmStatsSnapshot, TxKind, TxOutcome,
+    BloomTable, CachePadded, GlobalClock, Handle, LockTable, StatsRegistry, TmRuntime,
+    TmStatsSnapshot,
 };
 
 /// Sentinel: the first observed Mode-U timestamp is not currently valid.
@@ -271,63 +270,8 @@ impl Drop for MultiverseRuntime {
     }
 }
 
-/// Per-thread Multiverse handle.
-pub struct MultiverseHandle {
-    tx: MultiverseTx,
-    backoff: Backoff,
-}
-
-impl MultiverseHandle {
-    /// The runtime this handle belongs to.
-    pub fn runtime(&self) -> &Arc<MultiverseRuntime> {
-        &self.tx.rt
-    }
-}
-
-impl TmHandle for MultiverseHandle {
-    type Tx = MultiverseTx;
-
-    fn txn_budget<R>(
-        &mut self,
-        kind: TxKind,
-        max_attempts: u64,
-        mut body: impl FnMut(&mut Self::Tx) -> TxResult<R>,
-    ) -> TxOutcome<R> {
-        self.tx.reset_operation();
-        loop {
-            if self.tx.attempts >= max_attempts {
-                self.tx.stats.gave_up.inc();
-                return TxOutcome::GaveUp;
-            }
-            self.tx.begin(kind);
-            let result = body(&mut self.tx).and_then(|r| self.tx.try_commit().map(|()| r));
-            match result {
-                Ok(r) => {
-                    tm_api::record::on_commit();
-                    self.tx.finish_commit();
-                    self.tx.stats.commits.inc();
-                    if kind == TxKind::ReadOnly {
-                        self.tx.stats.ro_commits.inc();
-                    } else {
-                        self.tx.stats.update_commits.inc();
-                    }
-                    self.backoff.reset();
-                    return TxOutcome::Committed(r);
-                }
-                Err(_) => {
-                    self.tx.rollback();
-                    tm_api::record::on_abort();
-                    self.tx.stats.aborts.inc();
-                    self.tx.attempts += 1;
-                    self.backoff.abort_and_wait();
-                }
-            }
-        }
-    }
-}
-
 impl TmRuntime for MultiverseRuntime {
-    type Handle = MultiverseHandle;
+    type Handle = Handle<MultiverseTx>;
 
     fn register(self: &Arc<Self>) -> Self::Handle {
         // Thread ids 1..MAX_TID-1: 0 is never used and MAX_TID is reserved
@@ -337,10 +281,7 @@ impl TmRuntime for MultiverseRuntime {
         let slot = self.registry.register();
         let stats = self.stats.register();
         let ebr = LocalHandle::new(Arc::clone(&self.ebr));
-        MultiverseHandle {
-            tx: MultiverseTx::new(Arc::clone(self), tid, slot, stats, ebr),
-            backoff: Backoff::new(),
-        }
+        Handle::new(MultiverseTx::new(Arc::clone(self), tid, slot, stats, ebr))
     }
 
     fn name(&self) -> &'static str {
@@ -543,7 +484,7 @@ mod tests {
     use super::*;
     use crate::config::MultiverseConfig;
     use std::collections::HashSet;
-    use tm_api::{TVar, Transaction};
+    use tm_api::{TVar, TmHandle, Transaction, TxKind, TxOutcome};
 
     fn small_rt() -> Arc<MultiverseRuntime> {
         MultiverseRuntime::start(MultiverseConfig::small())
@@ -740,7 +681,7 @@ mod tests {
     }
 
     /// Read every variable in one read-only transaction.
-    fn read_all(h: &mut MultiverseHandle, vars: &[TVar<u64>]) -> u64 {
+    fn read_all(h: &mut Handle<MultiverseTx>, vars: &[TVar<u64>]) -> u64 {
         h.txn(TxKind::ReadOnly, |tx| {
             let mut sum = 0;
             for v in vars {

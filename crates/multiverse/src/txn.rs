@@ -19,7 +19,7 @@ use tm_api::sync::{fence, Ordering};
 use tm_api::traits::Dtor;
 use tm_api::txset::{InlineVec, LockedStripes, StripeReadSet, UndoLog};
 use tm_api::vlock::LockState;
-use tm_api::{Abort, ThreadStats, Transaction, TxKind, TxWord};
+use tm_api::{Abort, Protocol, ThreadStats, Transaction, TxKind, TxWord};
 
 /// Sentinel for "no initial versioned timestamp recorded yet".
 pub(crate) const INVALID_TS: u64 = u64::MAX;
@@ -87,7 +87,8 @@ pub struct MultiverseTx {
     vwrites: InlineVec<VersionedWrite, VWRITE_INLINE>,
 
     // ---- per-operation state (persists across the retries of one txn) ----
-    pub(crate) attempts: u64,
+    /// Index of the running attempt within its operation (0 = first).
+    attempts: u64,
     initial_versioned_ts: u64,
     last_attempt_reads: u64,
 
@@ -133,76 +134,6 @@ impl MultiverseTx {
             pending_small_threshold: false,
             small_txn_threshold: 0,
             consec_small: 0,
-        }
-    }
-
-    /// Reset the per-operation state before the first attempt of a new
-    /// transaction (called by the handle's retry loop).
-    pub(crate) fn reset_operation(&mut self) {
-        self.attempts = 0;
-        self.initial_versioned_ts = INVALID_TS;
-        self.last_attempt_reads = 0;
-    }
-
-    /// `beginTxn` (Listing 1): record the local mode, the read clock, decide
-    /// whether this attempt runs on the versioned path, and announce the
-    /// attempt to the background thread.
-    pub(crate) fn begin(&mut self, kind: TxKind) {
-        // Recorded before the read clock is taken so the begin stamp
-        // precedes the snapshot (no-op unless tm-api/record is active).
-        tm_api::record::on_begin(kind);
-        self.kind = kind;
-        self.stats.starts.inc();
-        self.ebr.pin();
-        self.read_set.clear();
-        self.undo.clear();
-        self.vwrites.clear();
-        debug_assert!(self.locked.is_empty());
-        self.reads = 0;
-
-        // Decide the code path for this attempt: read-only transactions switch
-        // to the versioned path after K1 failed attempts, or earlier if their
-        // previous attempt already read at least as much as the smallest
-        // transaction known to have committed in Mode U (§4.1, §4.2).
-        let cfg = &self.rt.cfg;
-        let min_mode_u_reads = self.rt.min_mode_u_read_count();
-        self.versioned = kind == TxKind::ReadOnly
-            && (self.attempts >= cfg.k1_versioned_after
-                || (self.attempts >= 1 && self.last_attempt_reads >= min_mode_u_reads));
-
-        // Announce-and-confirm the local mode counter: store the observed
-        // counter, then re-read it; if it moved we adopt the newer value, so
-        // the background thread can never observe us running at a mode more
-        // than one step behind the counter it published before scanning.
-        loop {
-            let c1 = self.rt.mode_counter();
-            self.slot
-                .announce(c1, kind == TxKind::ReadWrite, self.versioned);
-            // Safety: this fence supplies the store→load ordering the
-            // announce-and-confirm handshake needs now that the counter load
-            // is only `Acquire` (plain `Release`-store then `Acquire`-load
-            // may be reordered). The fence orders the slot announcement
-            // before the confirming counter read; the background thread's
-            // scan (`any_stale_worker`) issues the matching `SeqCst` fence
-            // after its counter CAS and before reading the slots, so either
-            // we observe the advanced counter here (and re-announce) or the
-            // scan observes our announcement (and waits for us to drain).
-            fence(Ordering::SeqCst);
-            let c2 = self.rt.mode_counter();
-            if c1 == c2 {
-                self.local_mode_counter = c1;
-                break;
-            }
-        }
-        self.local_mode = Mode::from_counter(self.local_mode_counter);
-        // The read clock MUST be a real load (refresh, not recall): a cached
-        // rv would admit this attempt at a timestamp the supersede gate may
-        // already have retired behind (see `crate::arena`, safety point 2).
-        self.rv = self.clock_cache.refresh(&self.rt.clock);
-        if self.versioned && self.initial_versioned_ts == INVALID_TS {
-            // First attempt on the versioned path: remember the initial
-            // versioned timestamp for the commit-timestamp-delta heuristic.
-            self.initial_versioned_ts = self.rv;
         }
     }
 
@@ -561,49 +492,6 @@ impl MultiverseTx {
     // Commit / abort
     // ------------------------------------------------------------------
 
-    /// `tryCommit` (Listing 1). Returns `Err(Abort)` when validation fails.
-    pub(crate) fn try_commit(&mut self) -> TxResult<()> {
-        if self.kind == TxKind::ReadOnly {
-            self.on_read_only_commit();
-            return Ok(());
-        }
-        // Updating transaction: revalidate the read set.
-        for &idx in &self.read_set {
-            let st = self.rt.locks.lock_at(idx).load();
-            if !st.validate(self.rv, self.tid) {
-                return Err(Abort);
-            }
-        }
-        // The commit timestamp MUST be a real load (refresh, not recall): a
-        // stale value would stamp this commit behind read clocks that have
-        // already validated against newer state.
-        let commit_clock = self.clock_cache.refresh(&self.rt.clock);
-        // Log the write set while the stripe locks are still held: the WAL
-        // sequence number fetched inside is then ordered exactly as the lock
-        // hand-off serializes conflicting commits, so log replay order is a
-        // valid serialization even when deferred-clock commit timestamps tie.
-        #[cfg(feature = "wal")]
-        self.wal_log_commit(commit_clock);
-        // Resolve the TBD versions before releasing any lock so versioned
-        // readers can never observe a committed write without its version,
-        // and queue each superseded head for clock-gated retirement
-        // (`eventualFree`, §4.5 — see `flush_superseded` for the gate).
-        for i in 0..self.vwrites.len() {
-            let vw = self.vwrites.as_slice()[i];
-            // Safety: nodes we created; still protected by the stripe lock.
-            unsafe { &*vw.node }.resolve_committed(commit_clock);
-            if !vw.older.is_null() {
-                self.superseded.push(Superseded {
-                    node: vw.older,
-                    commit_ts: commit_clock,
-                });
-            }
-        }
-        self.locked.release_all(&self.rt.locks, commit_clock);
-        self.note_commit_heuristics();
-        Ok(())
-    }
-
     /// Hand this commit's write set to the WAL session, if one is active.
     /// Must run between the commit-clock read and `release_all` (see the
     /// call site in `try_commit`). With no active session this is a single
@@ -680,10 +568,149 @@ impl MultiverseTx {
         }
     }
 
+    /// §4.3: after K2 attempts a read-only transaction whose read count is at
+    /// least the global minimum Mode-U read count attempts the Mode-QtoU CAS;
+    /// a versioned transaction always attempts it after K3 attempts. Either
+    /// way the thread sets its sticky Mode-U bit.
+    fn consider_mode_u_transition(&mut self) {
+        if self.rt.cfg.forced_mode.is_some() {
+            return;
+        }
+        if self.local_mode != Mode::Q {
+            return;
+        }
+        let cfg = &self.rt.cfg;
+        let min_reads = self.rt.min_mode_u_read_count();
+        let by_k2 = self.attempts >= cfg.k2_mode_u_after && self.reads >= min_reads;
+        let by_k3 = self.versioned && self.attempts >= cfg.k3_versioned_mode_u_after;
+        if !(by_k2 || by_k3) {
+            return;
+        }
+        let initiated = self.rt.try_initiate_qtou(self.local_mode_counter);
+        if initiated {
+            self.stats.mode_transitions.inc();
+        }
+        self.sticky_mode_u = true;
+        self.slot.set_sticky_mode_u(true);
+        self.pending_small_threshold = true;
+        self.consec_small = 0;
+    }
+}
+
+impl Protocol for MultiverseTx {
+    /// `beginTxn` (Listing 1): record the local mode, the read clock, decide
+    /// whether this attempt runs on the versioned path, and announce the
+    /// attempt to the background thread. Attempt 0 starts a new operation
+    /// and resets the per-operation heuristic state.
+    fn begin(&mut self, kind: TxKind, attempt: u64) {
+        self.attempts = attempt;
+        if attempt == 0 {
+            // A new operation: forget the previous one's heuristic state.
+            self.initial_versioned_ts = INVALID_TS;
+            self.last_attempt_reads = 0;
+        }
+        self.kind = kind;
+        self.stats.starts.inc();
+        self.ebr.pin();
+        self.read_set.clear();
+        self.undo.clear();
+        self.vwrites.clear();
+        debug_assert!(self.locked.is_empty());
+        self.reads = 0;
+
+        // Decide the code path for this attempt: read-only transactions switch
+        // to the versioned path after K1 failed attempts, or earlier if their
+        // previous attempt already read at least as much as the smallest
+        // transaction known to have committed in Mode U (§4.1, §4.2).
+        let cfg = &self.rt.cfg;
+        let min_mode_u_reads = self.rt.min_mode_u_read_count();
+        self.versioned = kind == TxKind::ReadOnly
+            && (self.attempts >= cfg.k1_versioned_after
+                || (self.attempts >= 1 && self.last_attempt_reads >= min_mode_u_reads));
+
+        // Announce-and-confirm the local mode counter: store the observed
+        // counter, then re-read it; if it moved we adopt the newer value, so
+        // the background thread can never observe us running at a mode more
+        // than one step behind the counter it published before scanning.
+        loop {
+            let c1 = self.rt.mode_counter();
+            self.slot
+                .announce(c1, kind == TxKind::ReadWrite, self.versioned);
+            // Safety: this fence supplies the store→load ordering the
+            // announce-and-confirm handshake needs now that the counter load
+            // is only `Acquire` (plain `Release`-store then `Acquire`-load
+            // may be reordered). The fence orders the slot announcement
+            // before the confirming counter read; the background thread's
+            // scan (`any_stale_worker`) issues the matching `SeqCst` fence
+            // after its counter CAS and before reading the slots, so either
+            // we observe the advanced counter here (and re-announce) or the
+            // scan observes our announcement (and waits for us to drain).
+            fence(Ordering::SeqCst);
+            let c2 = self.rt.mode_counter();
+            if c1 == c2 {
+                self.local_mode_counter = c1;
+                break;
+            }
+        }
+        self.local_mode = Mode::from_counter(self.local_mode_counter);
+        // The read clock MUST be a real load (refresh, not recall): a cached
+        // rv would admit this attempt at a timestamp the supersede gate may
+        // already have retired behind (see `crate::arena`, safety point 2).
+        self.rv = self.clock_cache.refresh(&self.rt.clock);
+        if self.versioned && self.initial_versioned_ts == INVALID_TS {
+            // First attempt on the versioned path: remember the initial
+            // versioned timestamp for the commit-timestamp-delta heuristic.
+            self.initial_versioned_ts = self.rv;
+        }
+    }
+
+    /// `tryCommit` (Listing 1). Returns `Err(Abort)` when validation fails.
+    fn try_commit(&mut self) -> TxResult<()> {
+        if self.kind == TxKind::ReadOnly {
+            self.on_read_only_commit();
+            return Ok(());
+        }
+        // Updating transaction: revalidate the read set.
+        for &idx in &self.read_set {
+            let st = self.rt.locks.lock_at(idx).load();
+            if !st.validate(self.rv, self.tid) {
+                return Err(Abort);
+            }
+        }
+        // The commit timestamp MUST be a real load (refresh, not recall): a
+        // stale value would stamp this commit behind read clocks that have
+        // already validated against newer state.
+        let commit_clock = self.clock_cache.refresh(&self.rt.clock);
+        // Log the write set while the stripe locks are still held: the WAL
+        // sequence number fetched inside is then ordered exactly as the lock
+        // hand-off serializes conflicting commits, so log replay order is a
+        // valid serialization even when deferred-clock commit timestamps tie.
+        #[cfg(feature = "wal")]
+        self.wal_log_commit(commit_clock);
+        // Resolve the TBD versions before releasing any lock so versioned
+        // readers can never observe a committed write without its version,
+        // and queue each superseded head for clock-gated retirement
+        // (`eventualFree`, §4.5 — see `flush_superseded` for the gate).
+        for i in 0..self.vwrites.len() {
+            let vw = self.vwrites.as_slice()[i];
+            // Safety: nodes we created; still protected by the stripe lock.
+            unsafe { &*vw.node }.resolve_committed(commit_clock);
+            if !vw.older.is_null() {
+                self.superseded.push(Superseded {
+                    node: vw.older,
+                    commit_ts: commit_clock,
+                });
+            }
+        }
+        self.locked.release_all(&self.rt.locks, commit_clock);
+        self.note_commit_heuristics();
+        Ok(())
+    }
+
     /// Post-commit cleanup (memory management, announcements). The
     /// per-attempt logs are *not* cleared here: `begin` clears them at the
     /// start of the next attempt, so the commit path stays minimal.
-    pub(crate) fn finish_commit(&mut self) {
+    fn commit(&mut self) {
         self.mem.on_commit(&mut self.ebr);
         self.flush_superseded();
         self.slot.clear_active();
@@ -693,7 +720,7 @@ impl MultiverseTx {
     /// `abort` (Listing 1): roll back in-place writes and versioned writes,
     /// revoke retires, release locks at a fresh clock value, and run the
     /// mode-switch heuristics.
-    pub(crate) fn rollback(&mut self) {
+    fn abort(&mut self) {
         // 1. Roll back the in-place writes (newest first).
         self.undo.rollback();
         // 2. Roll back versioned writes: mark deleted, unlink, retire. The
@@ -749,32 +776,8 @@ impl MultiverseTx {
         self.ebr.unpin();
     }
 
-    /// §4.3: after K2 attempts a read-only transaction whose read count is at
-    /// least the global minimum Mode-U read count attempts the Mode-QtoU CAS;
-    /// a versioned transaction always attempts it after K3 attempts. Either
-    /// way the thread sets its sticky Mode-U bit.
-    fn consider_mode_u_transition(&mut self) {
-        if self.rt.cfg.forced_mode.is_some() {
-            return;
-        }
-        if self.local_mode != Mode::Q {
-            return;
-        }
-        let cfg = &self.rt.cfg;
-        let min_reads = self.rt.min_mode_u_read_count();
-        let by_k2 = self.attempts >= cfg.k2_mode_u_after && self.reads >= min_reads;
-        let by_k3 = self.versioned && self.attempts >= cfg.k3_versioned_mode_u_after;
-        if !(by_k2 || by_k3) {
-            return;
-        }
-        let initiated = self.rt.try_initiate_qtou(self.local_mode_counter);
-        if initiated {
-            self.stats.mode_transitions.inc();
-        }
-        self.sticky_mode_u = true;
-        self.slot.set_sticky_mode_u(true);
-        self.pending_small_threshold = true;
-        self.consec_small = 0;
+    fn stats(&self) -> &ThreadStats {
+        &self.stats
     }
 }
 

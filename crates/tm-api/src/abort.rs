@@ -1,8 +1,8 @@
 //! The [`Abort`] control-flow token.
 //!
 //! Every transactional operation returns `Result<T, Abort>`. Returning
-//! `Err(Abort)` from the transaction closure makes [`crate::TmHandle::txn`]
-//! roll back the attempt and retry it (possibly after backoff, possibly on a
+//! `Err(Abort)` from the transaction closure makes the retry loop in
+//! [`crate::Handle`] roll back the attempt and retry it (possibly after backoff, possibly on a
 //! different code path — e.g. the versioned path in Multiverse).
 
 use std::fmt;
@@ -10,9 +10,8 @@ use std::fmt;
 /// Zero-sized token signalling that the current transaction attempt must be
 /// rolled back and retried.
 ///
-/// `Abort` deliberately carries no payload: the *reason* for an abort is
-/// recorded in the per-thread [`crate::ThreadStats`] by the TM itself, so that
-/// propagating an abort through deep data-structure code stays free.
+/// `Abort` deliberately carries no payload, so that propagating an abort
+/// through deep data-structure code stays free.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct Abort;
 
@@ -26,22 +25,6 @@ impl std::error::Error for Abort {}
 
 /// Convenience alias used throughout the transactional code paths.
 pub type TxResult<T> = Result<T, Abort>;
-
-/// Why a transaction attempt aborted. Used only for statistics; the hot path
-/// passes the zero-sized [`Abort`] token around.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AbortReason {
-    /// A versioned lock was held by another transaction.
-    LockHeld,
-    /// A versioned lock's version was too new for this transaction's read clock.
-    StaleRead,
-    /// Commit-time read-set validation failed.
-    ValidationFailed,
-    /// A versioned read could not find a suitable version in a version list.
-    NoSuitableVersion,
-    /// The user requested an explicit abort.
-    Explicit,
-}
 
 #[cfg(test)]
 mod tests {

@@ -5,7 +5,9 @@
 //! (crate `baselines`): transactional words, the global clock, versioned
 //! locks and the striped lock table, the per-stripe bloom-filter table,
 //! per-thread statistics, exponential/linear backoff, and — most importantly —
-//! the traits every TM implements ([`TmRuntime`], [`TmHandle`], [`Transaction`]).
+//! the traits every TM implements ([`TmRuntime`], [`Transaction`],
+//! [`Protocol`]) and the retry loop they share ([`Handle`], the one
+//! [`TmHandle`]).
 //!
 //! The design goals mirror the paper:
 //!
@@ -16,9 +18,16 @@
 //!   separate, parallel hash tables keyed by the *address* of the word.
 //! * **Closure-based transactions.** The C++ implementation uses
 //!   `setjmp`/`longjmp` to abort; in Rust every transactional operation
-//!   returns `Result<_, Abort>` and the retry loop lives in
-//!   [`TmHandle::txn`]. `?` propagation gives the same "abort anywhere"
+//!   returns `Result<_, Abort>` and the retry loop ([`Handle`], behind
+//!   [`TmHandle::txn`]) catches it. `?` propagation gives the same "abort anywhere"
 //!   ergonomics without non-local control flow.
+//! * **One retry loop.** Every TM's per-thread handle is [`Handle<T>`]
+//!   over its transaction descriptor `T`, which implements [`Protocol`]
+//!   (`begin` / `try_commit` / `commit` / `abort`). The loop, the attempt
+//!   budget, the backoff and the `gave_up` / `commits` / `aborts` /
+//!   `ro_commits` / `update_commits` counters live only in `Handle`; the
+//!   hook order and what each hook must release are the contract in
+//!   [`traits`].
 //!
 //! [`multiverse`]: ../multiverse/index.html
 
@@ -46,7 +55,7 @@ pub use locktable::{LockTable, StripeIndex};
 pub use padded::CachePadded;
 pub use stats::{StatsRegistry, ThreadStats, TmStatsSnapshot};
 pub use topology::Topology;
-pub use traits::{TmHandle, TmRuntime, Transaction, TxKind, TxOutcome};
+pub use traits::{Handle, Protocol, TmHandle, TmRuntime, Transaction, TxKind, TxOutcome};
 pub use txset::{
     InlineVec, LockedStripes, RedoEntry, RedoLog, StripeReadSet, UndoEntry, UndoLog, ValueReadSet,
     WriteMap,

@@ -5,7 +5,8 @@
 //! read (address and returned value), each write (address and value to take
 //! effect at commit), and the final commit or abort. Every TM in the
 //! repository calls the hook functions in this module from its read/write
-//! paths and its retry loop.
+//! paths; begin/commit/abort are recorded by the shared retry loop
+//! ([`crate::Handle`]).
 //!
 //! ## Cost model
 //!

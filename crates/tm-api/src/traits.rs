@@ -1,4 +1,5 @@
-//! The traits every TM in this repository implements.
+//! The traits every TM in this repository implements, and the one retry loop
+//! they all share.
 //!
 //! * [`TmRuntime`] — the shared, `Arc`-able runtime: global clock, lock
 //!   table, background threads, statistics.
@@ -8,6 +9,36 @@
 //! * [`Transaction`] — the view of an in-flight transaction attempt passed to
 //!   the user closure; provides transactional reads/writes and deferred
 //!   allocation / reclamation hooks.
+//! * [`Protocol`] — what a TM's descriptor adds to [`Transaction`]: the
+//!   per-attempt begin / commit / abort hooks.
+//! * [`Handle`] — the only [`TmHandle`] implementation. Every TM's
+//!   `TmRuntime::Handle` is `Handle<ItsTx>`, so the retry loop, the budget,
+//!   the backoff and the commit/abort counters exist exactly once.
+//!
+//! ## The `Protocol` contract
+//!
+//! [`Handle::txn_budget`](TmHandle::txn_budget) runs each attempt as:
+//!
+//! 1. budget check: once `max_attempts` attempts have run, count `gave_up`
+//!    and return [`TxOutcome::GaveUp`];
+//! 2. `record::on_begin`, then [`Protocol::begin`]`(kind, attempt)`, with
+//!    `attempt` counting from 0 within one `txn_budget` call (so `0` marks a
+//!    new operation);
+//! 3. the body, then [`Protocol::try_commit`] if the body returned `Ok`;
+//! 4. on success: `record::on_commit`, [`Protocol::commit`], then the
+//!    `commits` and `ro_commits`/`update_commits` counters and a backoff
+//!    reset;
+//! 5. on failure of the body or of `try_commit`: [`Protocol::abort`],
+//!    `record::on_abort`, the `aborts` counter and a backoff wait.
+//!
+//! After `commit` or `abort` returns, the descriptor must hold nothing the
+//! attempt acquired: no stripe lock, global lock or irrevocability token,
+//! and no EBR pin. Exactly one of the two follows every `begin`.
+//!
+//! `Handle` owns `gave_up`, `commits`, `aborts`, `ro_commits` and
+//! `update_commits`. Everything else — `starts` (counted in `begin`),
+//! `reads`, `writes` and every TM-specific counter — belongs to the
+//! protocol.
 //!
 //! Transactional data structures (crate `txstructs`) and the benchmark
 //! harness (crate `harness`) are generic over these traits, so the same
@@ -15,7 +46,8 @@
 //! and the global-lock oracle.
 
 use crate::abort::TxResult;
-use crate::stats::TmStatsSnapshot;
+use crate::backoff::Backoff;
+use crate::stats::{ThreadStats, TmStatsSnapshot};
 use crate::txword::{TVar, TxWord, Word64};
 use std::sync::Arc;
 
@@ -147,6 +179,88 @@ pub trait TmHandle {
     }
 }
 
+/// The per-attempt hooks of a TM's transaction descriptor, driven by
+/// [`Handle`]. See the [module docs](self) for the call order and what each
+/// hook must leave released.
+pub trait Protocol: Transaction {
+    /// Start attempt `attempt` (0 for the first attempt of an operation) of
+    /// a transaction of the given kind: count `starts`, pin, and take the
+    /// snapshot.
+    fn begin(&mut self, kind: TxKind, attempt: u64);
+
+    /// Validate and publish the attempt after its body succeeded. `Err`
+    /// aborts the attempt; `Ok` means it is linearized.
+    fn try_commit(&mut self) -> TxResult<()> {
+        Ok(())
+    }
+
+    /// Finish a committed attempt: hand off deferred memory, release what
+    /// `try_commit` did not, unpin.
+    fn commit(&mut self);
+
+    /// Roll back a failed attempt and release everything it acquired.
+    fn abort(&mut self);
+
+    /// The calling thread's statistics.
+    fn stats(&self) -> &ThreadStats;
+}
+
+/// The per-thread handle of every TM: a transaction descriptor plus the
+/// backoff state of the one retry loop.
+pub struct Handle<T> {
+    tx: T,
+    backoff: Backoff,
+}
+
+impl<T> Handle<T> {
+    /// Wrap a freshly registered descriptor.
+    pub fn new(tx: T) -> Self {
+        Self {
+            tx,
+            backoff: Backoff::new(),
+        }
+    }
+}
+
+impl<T: Protocol> TmHandle for Handle<T> {
+    type Tx = T;
+
+    fn txn_budget<R>(
+        &mut self,
+        kind: TxKind,
+        max_attempts: u64,
+        mut body: impl FnMut(&mut T) -> TxResult<R>,
+    ) -> TxOutcome<R> {
+        for attempt in 0..max_attempts {
+            crate::record::on_begin(kind);
+            self.tx.begin(kind, attempt);
+            match body(&mut self.tx).and_then(|r| self.tx.try_commit().map(|()| r)) {
+                Ok(r) => {
+                    crate::record::on_commit();
+                    self.tx.commit();
+                    let stats = self.tx.stats();
+                    stats.commits.inc();
+                    if kind == TxKind::ReadOnly {
+                        stats.ro_commits.inc();
+                    } else {
+                        stats.update_commits.inc();
+                    }
+                    self.backoff.reset();
+                    return TxOutcome::Committed(r);
+                }
+                Err(_) => {
+                    self.tx.abort();
+                    crate::record::on_abort();
+                    self.tx.stats().aborts.inc();
+                    self.backoff.abort_and_wait();
+                }
+            }
+        }
+        self.tx.stats().gave_up.inc();
+        TxOutcome::GaveUp
+    }
+}
+
 /// A shared TM runtime.
 pub trait TmRuntime: Send + Sync + 'static {
     /// The per-thread handle type.
@@ -198,5 +312,151 @@ mod tests {
     fn txkind_equality() {
         assert_eq!(TxKind::ReadOnly, TxKind::ReadOnly);
         assert_ne!(TxKind::ReadOnly, TxKind::ReadWrite);
+    }
+
+    /// One hook invocation seen by [`FakeTx`].
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    enum Call {
+        Begin(TxKind, u64),
+        TryCommit,
+        Commit,
+        Abort,
+    }
+
+    /// A protocol with no TM behind it: it logs the calls `Handle` makes, counts
+    /// `starts` as the contract asks, and fails `try_commit` on request.
+    #[derive(Default)]
+    struct FakeTx {
+        calls: Vec<Call>,
+        stats: ThreadStats,
+        fail_commits: u64,
+    }
+
+    impl Transaction for FakeTx {
+        fn read(&mut self, word: &TxWord) -> TxResult<u64> {
+            Ok(word.load_direct())
+        }
+        fn write(&mut self, _word: &TxWord, _value: u64) -> TxResult<()> {
+            Ok(())
+        }
+        fn defer_alloc(&mut self, _ptr: *mut u8, _dtor: Dtor) {}
+        fn defer_retire(&mut self, _ptr: *mut u8, _dtor: Dtor) {}
+        fn read_count(&self) -> u64 {
+            0
+        }
+    }
+
+    impl Protocol for FakeTx {
+        fn begin(&mut self, kind: TxKind, attempt: u64) {
+            self.stats.starts.inc();
+            self.calls.push(Call::Begin(kind, attempt));
+        }
+        fn try_commit(&mut self) -> TxResult<()> {
+            self.calls.push(Call::TryCommit);
+            if self.fail_commits > 0 {
+                self.fail_commits -= 1;
+                return Err(crate::Abort);
+            }
+            Ok(())
+        }
+        fn commit(&mut self) {
+            self.calls.push(Call::Commit);
+        }
+        fn abort(&mut self) {
+            self.calls.push(Call::Abort);
+        }
+        fn stats(&self) -> &ThreadStats {
+            &self.stats
+        }
+    }
+
+    fn fake() -> Handle<FakeTx> {
+        Handle::new(FakeTx::default())
+    }
+
+    #[test]
+    fn attempts_are_numbered_in_order_and_hooks_run_in_contract_order() {
+        use Call::*;
+        let mut h = fake();
+        // The body aborts twice, then try_commit fails once, then it commits.
+        h.tx.fail_commits = 1;
+        let mut runs = 0;
+        let out = h.txn_budget(TxKind::ReadWrite, 10, |_| {
+            runs += 1;
+            if runs <= 2 {
+                Err(crate::Abort)
+            } else {
+                Ok(runs)
+            }
+        });
+        assert_eq!(out, TxOutcome::Committed(4));
+        let rw = TxKind::ReadWrite;
+        assert_eq!(
+            h.tx.calls,
+            [
+                Begin(rw, 0),
+                Abort,
+                Begin(rw, 1),
+                Abort,
+                Begin(rw, 2),
+                TryCommit,
+                Abort,
+                Begin(rw, 3),
+                TryCommit,
+                Commit
+            ]
+        );
+        // The next operation numbers its attempts from 0 again.
+        h.tx.calls.clear();
+        h.txn(TxKind::ReadOnly, |_| Ok(()));
+        assert_eq!(h.tx.calls, [Begin(TxKind::ReadOnly, 0), TryCommit, Commit]);
+    }
+
+    #[test]
+    fn zero_budget_gives_up_without_beginning() {
+        let mut h = fake();
+        let out = h.txn_budget(TxKind::ReadWrite, 0, |_| Ok(()));
+        assert_eq!(out, TxOutcome::GaveUp);
+        assert!(h.tx.calls.is_empty());
+        let s = h.tx.stats.snapshot();
+        assert_eq!((s.gave_up, s.starts, s.aborts), (1, 0, 0));
+    }
+
+    #[test]
+    fn exhausted_budget_counts_one_give_up_and_every_abort() {
+        let mut h = fake();
+        let out = h.txn_budget(TxKind::ReadWrite, 3, |_| Err::<(), _>(crate::Abort));
+        assert_eq!(out, TxOutcome::GaveUp);
+        let s = h.tx.stats.snapshot();
+        assert_eq!((s.starts, s.aborts, s.gave_up, s.commits), (3, 3, 1, 0));
+        let begins: Vec<u64> =
+            h.tx.calls
+                .iter()
+                .filter_map(|c| match c {
+                    Call::Begin(_, a) => Some(*a),
+                    _ => None,
+                })
+                .collect();
+        assert_eq!(begins, [0, 1, 2]);
+    }
+
+    #[test]
+    fn commits_are_counted_by_kind() {
+        let mut h = fake();
+        h.txn(TxKind::ReadOnly, |_| Ok(()));
+        h.txn(TxKind::ReadWrite, |_| Ok(()));
+        h.txn(TxKind::ReadWrite, |_| Ok(()));
+        let s = h.tx.stats.snapshot();
+        assert_eq!((s.commits, s.ro_commits, s.update_commits), (3, 1, 2));
+        assert_eq!(s.aborts, 0);
+    }
+
+    #[test]
+    fn a_commit_resets_the_backoff() {
+        let mut h = fake();
+        let _ = h.txn_budget(TxKind::ReadWrite, 2, |_| Err::<(), _>(crate::Abort));
+        assert_eq!(h.backoff.consecutive_aborts(), 2);
+        h.txn(TxKind::ReadWrite, |_| Ok(()));
+        assert_eq!(h.backoff.consecutive_aborts(), 0);
     }
 }

@@ -11,7 +11,7 @@ use baselines::Tl2Runtime;
 use multiverse::{Mode, MultiverseConfig, MultiverseRuntime};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-use tm_api::{TmHandle, TmRuntime, TxKind};
+use tm_api::{Abort, TmHandle, TmRuntime, TxKind};
 use txstructs::{TxAbTree, TxSet};
 
 /// Range queries per backend.
@@ -171,66 +171,110 @@ fn versioned_path_and_mode_u_engage_for_repeatedly_aborted_scans() {
     tm.shutdown();
 }
 
+/// Sets its flag when dropped, so a panicking thread still releases the
+/// threads waiting on it.
+struct SetOnDrop<'a>(&'a AtomicBool);
+
+impl Drop for SetOnDrop<'_> {
+    fn drop(&mut self) {
+        self.0.store(true, Ordering::Relaxed);
+    }
+}
+
 #[test]
 fn mode_machine_returns_to_q_after_demand_disappears() {
+    /// Scans allowed for the stepper to observe Mode U.
+    const MAX_SCANS: u64 = 2_000;
+    /// Background steps allowed, once only small transactions run, for the
+    /// TM to be back in Mode Q.
+    const MAX_STEPS: usize = 100;
     let mut cfg = MultiverseConfig::small();
     cfg.k1_versioned_after = 1;
     cfg.k3_versioned_mode_u_after = 2;
     cfg.s_small_txns = 2;
+    cfg.bg_thread = false;
+    let k3 = cfg.k3_versioned_mode_u_after;
     let tm = MultiverseRuntime::start(cfg);
-    let tree = Arc::new(TxAbTree::new());
-    {
-        let mut h = tm.register();
-        for k in 0..1_000u64 {
-            tree.insert(&mut h, k, k);
-        }
+    let tree = &TxAbTree::new();
+    // The scanner's handle lives on this thread for both phases, so its
+    // sticky bit must be cleared by small commits, not by a dropped handle.
+    let mut scanner = tm.register();
+    for k in 0..1_000u64 {
+        tree.insert(&mut scanner, k, k);
     }
-    // Phase 1: force contention between a scanner and an updater so the TM
-    // has a reason to enter Mode U.
-    let stop = Arc::new(AtomicBool::new(false));
+
+    // Phase 1: full-tree scans against a live updater. Each scan loses its
+    // first K3 + 1 attempts (forced here, so the outcome does not depend on
+    // how the threads interleave), which makes the K3 rule initiate the move
+    // to Mode U and set the scanner's sticky bit. A stepper thread does the
+    // background work until the scans stop.
+    let stop = &AtomicBool::new(false);
+    let saw_mode_u = &AtomicBool::new(false);
+    let mut scans = 0u64;
     std::thread::scope(|s| {
         let tm1 = Arc::clone(&tm);
-        let tree1 = Arc::clone(&tree);
-        let stop1 = Arc::clone(&stop);
         s.spawn(move || {
             let mut h = tm1.register();
             let mut x = 1u64;
-            while !stop1.load(Ordering::Relaxed) {
+            while !stop.load(Ordering::Relaxed) {
                 x ^= x << 13;
                 x ^= x >> 7;
                 x ^= x << 17;
-                tree1.insert(&mut h, x % 1_000, x);
+                tree.insert(&mut h, x % 1_000, x);
             }
         });
         let tm2 = Arc::clone(&tm);
-        let tree2 = Arc::clone(&tree);
-        let stop2 = Arc::clone(&stop);
         s.spawn(move || {
-            let mut h = tm2.register();
-            for _ in 0..30 {
-                tree2.range_query(&mut h, 0, u64::MAX);
+            let mut ebr = tm2.bg_ebr_handle();
+            let mut samples = Vec::new();
+            while !stop.load(Ordering::Relaxed) {
+                tm2.bg_step(&mut ebr, &mut samples);
+                if tm2.current_mode() == Mode::U {
+                    saw_mode_u.store(true, Ordering::Relaxed);
+                }
+                std::thread::yield_now();
             }
-            stop2.store(true, Ordering::Relaxed);
         });
+        let _stop = SetOnDrop(stop);
+        while !saw_mode_u.load(Ordering::Relaxed) && scans < MAX_SCANS {
+            let mut attempt = 0;
+            let n = scanner.txn(TxKind::ReadOnly, |tx| {
+                attempt += 1;
+                let n = tree.range_query_tx(tx, 0, u64::MAX)?;
+                if attempt <= k3 + 1 {
+                    Err(Abort)
+                } else {
+                    Ok(n)
+                }
+            });
+            assert_eq!(n, 1_000);
+            scans += 1;
+        }
     });
-    // Phase 2: only small transactions; the sticky bits clear, the background
-    // thread must eventually drive the TM back to Mode Q.
-    let mut h = tm.register();
-    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
-    loop {
-        for k in 0..50u64 {
-            tree.contains(&mut h, k);
-            tree.insert(&mut h, k, k);
+    assert!(
+        saw_mode_u.load(Ordering::Relaxed),
+        "phase 1 must put the TM in Mode U within {MAX_SCANS} scans (mode {:?})",
+        tm.current_mode()
+    );
+    assert!(tm.stats().versioned_commits >= scans, "{}", tm.stats());
+
+    // Phase 2: only small transactions. They clear the scanner's sticky bit,
+    // and the background work must bring the TM back to Mode Q.
+    let mut ebr = tm.bg_ebr_handle();
+    let mut samples = Vec::new();
+    let mut steps = 0;
+    while tm.current_mode() != Mode::Q && steps < MAX_STEPS {
+        for k in 0..5u64 {
+            tree.contains(&mut scanner, k);
+            tree.insert(&mut scanner, k, k);
         }
-        if tm.current_mode() == Mode::Q || std::time::Instant::now() > deadline {
-            break;
-        }
-        std::thread::sleep(std::time::Duration::from_millis(5));
+        tm.bg_step(&mut ebr, &mut samples);
+        steps += 1;
     }
     assert_eq!(
         tm.current_mode(),
         Mode::Q,
-        "the TM should return to Mode Q once no thread wants Mode U"
+        "the TM should return to Mode Q within {MAX_STEPS} steps once no thread wants Mode U"
     );
     tm.shutdown();
 }

@@ -14,7 +14,7 @@
 use harness::{with_backend, BackendVisitor, RuntimeScale, TmKind};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use tm_api::{TVar, TmHandle, TmRuntime, Transaction, TxKind};
+use tm_api::{Abort, TVar, TmHandle, TmRuntime, Transaction, TxKind, TxOutcome};
 
 const ACCOUNTS: usize = 256;
 const INITIAL: u64 = 100;
@@ -133,6 +133,41 @@ impl BackendVisitor for BankVisitor {
     }
 }
 
+/// The stats a backend's runtime moved by, as `(starts, aborts, gave_up,
+/// commits)`.
+type Deltas = (u64, u64, u64, u64);
+
+/// The retry loop's contract, which every backend shares: an operation
+/// whose body writes and then aborts, on a budget of 3, begins 3 times,
+/// aborts 3 times, gives up once, and leaves the write rolled back.
+fn explicit_abort_contract<R: TmRuntime>(tm: Arc<R>) -> Deltas {
+    let x = TVar::new(7u64);
+    let before = tm.stats();
+    let out = tm.register().txn_budget(TxKind::ReadWrite, 3, |tx| {
+        tx.write_var(&x, 8)?;
+        Err::<(), _>(Abort)
+    });
+    let after = tm.stats();
+    tm.shutdown();
+    assert_eq!(out, TxOutcome::GaveUp);
+    assert_eq!(x.load_direct(), 7, "the aborted write must be rolled back");
+    (
+        after.starts - before.starts,
+        after.aborts - before.aborts,
+        after.gave_up - before.gave_up,
+        after.commits - before.commits,
+    )
+}
+
+/// Run the explicit-abort contract against a backend by registry name.
+struct ExplicitAbortVisitor;
+impl BackendVisitor for ExplicitAbortVisitor {
+    type Out = Deltas;
+    fn visit<R: TmRuntime>(self, rt: Arc<R>) -> Deltas {
+        explicit_abort_contract(rt)
+    }
+}
+
 /// Run the lockstep probe against a backend by registry name.
 struct LockstepVisitor;
 impl BackendVisitor for LockstepVisitor {
@@ -213,6 +248,19 @@ fn lockstep_probe_norec() {
 #[test]
 fn lockstep_probe_tinystm() {
     run_lockstep(TmKind::TinyStm);
+}
+
+#[test]
+fn explicit_aborts_follow_one_contract_on_every_backend() {
+    for tm in TmKind::all() {
+        let deltas = with_backend(tm, RuntimeScale::Test, ExplicitAbortVisitor);
+        assert_eq!(
+            deltas,
+            (3, 3, 1, 0),
+            "{}: (starts, aborts, gave_up, commits)",
+            tm.name()
+        );
+    }
 }
 
 /// Stress rerun across **all** backends (previously Multiverse Mode-U only).
