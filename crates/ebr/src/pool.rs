@@ -38,34 +38,23 @@
 //! the paper's evaluation stresses; sharding splits that word per core
 //! group.
 //!
-//! * The shard count is resolved lazily on first use from the machine's
-//!   cache topology ([`tm_api::topology`]): one shard per last-level-cache
-//!   group, clamped to `1..=`[`MAX_SHARDS`]. Where sysfs is unavailable the
-//!   topology fallback yields one group per [`CORES_PER_GROUP`] logical CPUs
-//!   — the pre-topology shape. The environment variable
-//!   `MULTIVERSE_POOL_SHARDS` overrides the computed count so tests and CI
-//!   can force `>1` shards on small runners; [`NodePool::with_shards`] pins
-//!   it at construction. Overridden/forced pools assign homes round-robin
-//!   (deterministic for tests); only a topology-derived count enables
-//!   topology-derived placement.
-//! * Hot-path users allocate through a per-thread [`PoolHandle`]. Under
-//!   topology placement the handle's **home shard** is the LLC group of the
-//!   CPU the registering thread runs on (so pinned threads share a free
-//!   list exactly with their cache neighbours); otherwise homes rotate
-//!   round-robin at registration. The handle keeps a small array of slots
-//!   plus a private reserve chain, so the common case is a pointer pop with
-//!   no shared-memory traffic at all. Refills detach the home shard
-//!   wholesale; spills return the coldest half of the local cache as **one**
-//!   chain push (one CAS per [`SPILL_BATCH`] slots).
-//! * If the home shard is empty the handle **steals**: under topology
-//!   placement it walks the siblings nearest-first (same NUMA node before
-//!   remote nodes, per [`tm_api::topology::Topology::steal_order`]);
-//!   otherwise round-robin with a per-handle cursor that spreads repeated
-//!   steals. It adopts the first non-empty shard's stack. Only when every
-//!   shard is empty does it fall back to growing a fresh
-//!   [`SLAB_SLOTS`]-slot slab from the system allocator. Slab link words
-//!   are written by the growing thread, so the kernel's first-touch policy
-//!   places slab pages on the allocating (pinned) thread's NUMA node.
+//! * The shard count is resolved lazily on first use: one shard per
+//!   [`CORES_PER_GROUP`] logical CPUs (`available_parallelism`), clamped to
+//!   `1..=`[`MAX_SHARDS`]. The environment variable `MULTIVERSE_POOL_SHARDS`
+//!   overrides the computed count so tests and CI can force `>1` shards on
+//!   small runners; [`NodePool::with_shards`] pins it at construction.
+//! * Hot-path users allocate through a per-thread [`PoolHandle`], whose
+//!   **home shard** is a round-robin ticket taken at registration. The
+//!   handle keeps a small array of slots plus a private reserve chain, so
+//!   the common case is a pointer pop with no shared-memory traffic at all.
+//!   Refills detach the home shard wholesale; spills return the coldest half
+//!   of the local cache as **one** chain push (one CAS per [`SPILL_BATCH`]
+//!   slots).
+//! * If the home shard is empty the handle **steals**: it scans the sibling
+//!   shards round-robin, starting from a per-handle cursor that spreads
+//!   repeated steals, and adopts the first non-empty shard's stack. Only
+//!   when every shard is empty does it fall back to growing a fresh
+//!   [`SLAB_SLOTS`]-slot slab from the system allocator.
 //! * Context-free frees ([`NodePool::push`], used by EBR recycle
 //!   destructors) route to the calling thread's home shard via a
 //!   thread-local hint that [`PoolHandle::new`] registers — a thread
@@ -112,11 +101,8 @@ pub const CACHE_LINE: usize = 64;
 /// Upper bound on the number of free-list shards of one pool.
 pub const MAX_SHARDS: usize = 16;
 
-/// Logical CPUs per shard when neither sysfs topology nor an environment
-/// override decides the count: one shard per 4-thread core group
-/// approximates per-core-complex granularity without topology discovery.
-/// Kept equal to [`tm_api::topology::FALLBACK_GROUP_CPUS`] (asserted by a
-/// test) so both derivations agree on sysfs-less machines.
+/// Logical CPUs per shard unless an environment override decides the
+/// count: one shard per 4-thread core group.
 pub const CORES_PER_GROUP: usize = 4;
 
 /// Slots obtained from the system allocator in one growth step (one `alloc`
@@ -166,11 +152,6 @@ pub struct NodePool {
     shards: [CachePadded<AtomicPtr<u8>>; MAX_SHARDS],
     /// Resolved shard count; 0 until first use.
     shard_count: AtomicUsize,
-    /// How the count was resolved: 0 = unresolved, 1 = derived from the
-    /// machine topology (enables topology-derived homes and nearest-first
-    /// steal order), 2 = forced / environment override (round-robin homes,
-    /// deterministic for tests).
-    placement: AtomicUsize,
     /// Round-robin ticket source for home-shard assignment.
     registrations: AtomicUsize,
     /// Slots ever requested from the system allocator (never decremented:
@@ -212,7 +193,6 @@ impl NodePool {
             forced_shards,
             shards: [const { CachePadded::new(AtomicPtr::new(ptr::null_mut())) }; MAX_SHARDS],
             shard_count: AtomicUsize::new(0),
-            placement: AtomicUsize::new(0),
             registrations: AtomicUsize::new(0),
             total_slots: AtomicUsize::new(0),
             recycled: AtomicU64::new(0),
@@ -237,25 +217,20 @@ impl NodePool {
 
     #[cold]
     fn resolve_shard_count(&self) -> usize {
-        let env = std::env::var("MULTIVERSE_POOL_SHARDS").ok();
-        let (n, placement) = if self.forced_shards != 0 {
-            (self.forced_shards, 2)
-        } else if env.is_some() {
+        let n = if self.forced_shards != 0 {
+            self.forced_shards
+        } else {
             let cores = std::thread::available_parallelism()
                 .map(|n| n.get())
                 .unwrap_or(1);
-            (shard_count_for(env.as_deref(), cores), 2)
-        } else {
-            let topo = tm_api::topology::Topology::current();
-            (topo.group_count().clamp(1, MAX_SHARDS), 1)
+            shard_count_for(
+                std::env::var("MULTIVERSE_POOL_SHARDS").ok().as_deref(),
+                cores,
+            )
         };
-        // First resolver wins; every contender computes the same value
-        // (topology is a process singleton and the environment is stable),
-        // so the stores only exist to keep the transition single-shot. The
-        // placement mode is published before the count: readers gate on a
-        // non-zero count, re-resolving (idempotently) when they need the
-        // mode and still see 0.
-        self.placement.store(placement, Ordering::Relaxed);
+        // First resolver wins, so every thread sees one count for the
+        // pool's lifetime even if a contender computed another (a thread
+        // pinned to one CPU sees `available_parallelism` == 1).
         match self
             .shard_count
             .compare_exchange(0, n, Ordering::Relaxed, Ordering::Relaxed)
@@ -265,40 +240,13 @@ impl NodePool {
         }
     }
 
-    /// Whether this pool's shard count came from the machine topology — the
-    /// gate for topology-derived homes and nearest-first steal order.
-    /// Forced and environment-overridden pools place round-robin so tests
-    /// stay deterministic.
-    fn topology_placed(&self) -> bool {
-        match self.placement.load(Ordering::Relaxed) {
-            0 => {
-                self.resolve_shard_count();
-                self.placement.load(Ordering::Relaxed) == 1
-            }
-            p => p == 1,
-        }
-    }
-
-    /// Assign a home shard, recording the calling thread's routing hint for
+    /// Assign a home shard from the round-robin registration ticket,
+    /// recording the ticket as the calling thread's routing hint for
     /// context-free [`Self::push`]es — the hint is reduced modulo the shard
     /// count only at use, so one hint serves pools with different shard
     /// counts.
-    ///
-    /// Under topology placement the home is the LLC group of the CPU the
-    /// thread is running on (stable for pinned threads; see
-    /// `tm_api::topology::pin_to_cpu`). Otherwise — forced or overridden
-    /// counts, or no `getcpu` support — homes rotate round-robin per
-    /// registration.
     fn assign_home(&self) -> usize {
         let n = self.shard_count();
-        if self.topology_placed() {
-            if let Some(group) = tm_api::topology::current_cpu()
-                .and_then(|c| tm_api::topology::Topology::current().group_of(c))
-            {
-                HOME_SHARD.set(group);
-                return group % n;
-            }
-        }
         let ticket = self.registrations.fetch_add(1, Ordering::Relaxed);
         HOME_SHARD.set(ticket);
         ticket % n
@@ -389,12 +337,6 @@ impl NodePool {
     /// return it as a null-terminated chain (linked through first words).
     /// Slab memory is never returned to the allocator, so carving it into
     /// independently recycled slots is sound.
-    ///
-    /// The link-word writes below touch every slot of the slab from the
-    /// growing thread, so under the kernel's first-touch policy the slab's
-    /// pages land on the NUMA node of the thread that ran dry — for pinned
-    /// threads (see `tm_api::topology::pin_to_cpu`) that is the node whose
-    /// shard the slots will circulate in.
     fn grow_slab(&self) -> *mut u8 {
         let layout = self.layout(SLAB_SLOTS);
         // Safety: layout has non-zero size.
@@ -546,34 +488,6 @@ unsafe fn chain_len(head: *mut u8) -> usize {
     n
 }
 
-/// The sibling-visit order for a handle homed on `home`: nearest-first from
-/// the machine topology when the pool is topology-placed (every sibling
-/// appended even if LLC groups folded onto fewer shards than groups), empty
-/// otherwise (selecting the cursor-rotated round-robin scan).
-fn sibling_order(pool: &NodePool, home: usize) -> ([u8; MAX_SHARDS], u8) {
-    let mut order = [0u8; MAX_SHARDS];
-    let mut len = 0u8;
-    let n = pool.shard_count();
-    if n <= 1 || !pool.topology_placed() {
-        return (order, len);
-    }
-    let push = |s: usize, order: &mut [u8; MAX_SHARDS], len: &mut u8| {
-        if s != home && !order[..*len as usize].contains(&(s as u8)) {
-            order[*len as usize] = s as u8;
-            *len += 1;
-        }
-    };
-    for g in tm_api::topology::Topology::current().steal_order(home) {
-        push(g % n, &mut order, &mut len);
-    }
-    // MAX_SHARDS clamping can fold several groups onto one shard id; make
-    // sure every sibling is still reachable.
-    for s in 0..n {
-        push(s, &mut order, &mut len);
-    }
-    (order, len)
-}
-
 /// Derive a shard count from an optional `MULTIVERSE_POOL_SHARDS` override
 /// and the machine's logical CPU count. Pure so it is unit-testable without
 /// mutating process environment.
@@ -607,14 +521,8 @@ pub struct PoolHandle {
     pool: &'static NodePool,
     /// The shard this handle refills from and spills to.
     home: usize,
-    /// Rotates the sibling-scan start so repeated steals spread over shards
-    /// (round-robin placement only; topology placement uses `steal_order`).
+    /// Rotates the sibling-scan start so repeated steals spread over shards.
     steal_cursor: usize,
-    /// Nearest-first sibling order (same NUMA node before remote), filled
-    /// only under topology placement; `steal_len == 0` selects the
-    /// cursor-rotated round-robin scan instead.
-    steal_order: [u8; MAX_SHARDS],
-    steal_len: u8,
     cache: [*mut u8; LOCAL_CACHE],
     len: usize,
     /// Private chain adopted from a shard (linked via first words).
@@ -632,22 +540,12 @@ impl PoolHandle {
         // cross-schedule state (see [`NodePool::push`]), and the bypassed
         // alloc/free below never consult the shard index.
         #[cfg(feature = "sim")]
-        let (home, (steal_order, steal_len)) = if sim::active() {
-            (0, ([0u8; MAX_SHARDS], 0u8))
-        } else {
-            let home = pool.assign_home();
-            (home, sibling_order(pool, home))
-        };
+        let home = if sim::active() { 0 } else { pool.assign_home() };
         #[cfg(not(feature = "sim"))]
-        let (home, (steal_order, steal_len)) = {
-            let home = pool.assign_home();
-            (home, sibling_order(pool, home))
-        };
+        let home = pool.assign_home();
         Self {
             home,
             steal_cursor: 0,
-            steal_order,
-            steal_len,
             pool,
             cache: [ptr::null_mut(); LOCAL_CACHE],
             len: 0,
@@ -694,8 +592,7 @@ impl PoolHandle {
         self.alloc_slow()
     }
 
-    /// Refill path: home shard, then sibling steal (nearest-first under
-    /// topology placement), then a fresh slab.
+    /// Refill path: home shard, then sibling steal, then a fresh slab.
     #[cold]
     fn alloc_slow(&mut self) -> (*mut u8, SlotSource) {
         // Adopt the whole home stack as our private reserve. With few
@@ -708,23 +605,12 @@ impl PoolHandle {
             self.reserve = unsafe { *(head as *mut *mut u8) };
             return (head, SlotSource::Hit);
         }
-        if self.steal_len > 0 {
-            // Topology placement: fixed nearest-first order — prefer slots
-            // whose lines live on the same NUMA node before pulling remote
-            // memory. No cursor: nearness, not fairness, is the point.
-            for i in 0..self.steal_len as usize {
-                if let Some(out) = self.adopt_steal(self.steal_order[i] as usize) {
-                    return out;
-                }
-            }
-        } else {
-            let n = self.pool.shard_count();
-            for k in 0..n.saturating_sub(1) {
-                let s = (self.home + 1 + (self.steal_cursor + k) % (n - 1)) % n;
-                if let Some(out) = self.adopt_steal(s) {
-                    self.steal_cursor = (self.steal_cursor + k + 1) % (n - 1);
-                    return out;
-                }
+        let n = self.pool.shard_count();
+        for k in 0..n.saturating_sub(1) {
+            let s = (self.home + 1 + (self.steal_cursor + k) % (n - 1)) % n;
+            if let Some(out) = self.adopt_steal(s) {
+                self.steal_cursor = (self.steal_cursor + k + 1) % (n - 1);
+                return out;
             }
         }
         let head = self.pool.grow_slab();
@@ -1149,32 +1035,18 @@ mod tests {
     }
 
     #[test]
-    fn fallback_grouping_matches_topology_fallback() {
-        // The pure env-override fallback (`shard_count_for`) and the
-        // topology crate's sysfs-less fallback must agree on shape, so a
-        // machine without sysfs gets the same shard count either way.
-        assert_eq!(CORES_PER_GROUP, tm_api::topology::FALLBACK_GROUP_CPUS);
-        for cores in [1, 4, 5, 32, 1024] {
-            assert_eq!(
-                shard_count_for(None, cores),
-                tm_api::topology::Topology::fallback(cores)
-                    .group_count()
-                    .clamp(1, MAX_SHARDS)
-            );
-        }
-    }
-
-    #[test]
-    fn default_pools_follow_the_machine_topology() {
+    fn default_pools_group_the_available_cpus() {
         // A default-constructed pool resolves its shard count from the
-        // process topology (unless the CI override is exported, which forces
-        // the round-robin path this test then skips).
+        // available parallelism (unless the CI override is exported, which
+        // this test then skips).
         static P: NodePool = NodePool::new(CACHE_LINE);
         if std::env::var("MULTIVERSE_POOL_SHARDS").is_ok() {
             return;
         }
-        let topo = tm_api::topology::Topology::current();
-        assert_eq!(P.shard_count(), topo.group_count().clamp(1, MAX_SHARDS));
+        let cores = std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(1);
+        assert_eq!(P.shard_count(), shard_count_for(None, cores));
         let h = PoolHandle::new(&P);
         assert!(h.home_shard() < P.shard_count());
     }

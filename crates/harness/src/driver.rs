@@ -54,9 +54,9 @@ pub struct TrialResult {
     pub throughput: f64,
     /// Aggregate TM statistics after the trial.
     pub stats: TmStatsSnapshot,
-    /// CPU seconds consumed during the trial (energy proxy).
+    /// CPU seconds consumed during the trial.
     pub cpu_seconds: f64,
-    /// Ops per CPU-second (the Figure 10 substitute metric).
+    /// Ops per CPU-second.
     pub ops_per_cpu_second: f64,
     /// Max resident set size of the process at the end of the trial (KiB).
     pub max_rss_kb: u64,

@@ -14,8 +14,9 @@
 //! * prefilled structures, timed trials, multiple TMs × thread counts;
 //! * time-varying workloads sampled every 200 ms (Figure 8);
 //! * maximum-resident-set and versioning-metadata memory accounting
-//!   (Figure 9) and a CPU-time energy proxy (Figure 10 substitute, see
-//!   DESIGN.md).
+//!   (Figure 9) and process CPU time per trial. Figure 10's energy claim is
+//!   not measurable here: RAPL needs privileges, and CPU time is not
+//!   energy.
 
 pub mod checker;
 pub mod cli;

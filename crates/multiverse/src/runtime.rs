@@ -554,22 +554,27 @@ mod tests {
 
     #[test]
     fn worker_cas_moves_q_to_qtou_and_bg_completes_the_cycle() {
-        let rt = small_rt();
+        let small = MultiverseConfig::small();
+        let rt = stepped_rt(small.stripes, small.k3_versioned_mode_u_after);
         assert_eq!(rt.current_mode(), Mode::Q);
         assert!(rt.try_initiate_qtou(rt.mode_counter()));
-        // No stale workers exist, so the background thread should drive the
-        // TM through QtoU -> U; with no sticky flags it then returns to Q.
-        let deadline = std::time::Instant::now() + Duration::from_secs(5);
-        while rt.mode_counter() < 4 && std::time::Instant::now() < deadline {
-            std::thread::sleep(Duration::from_millis(1));
-        }
-        assert!(
-            rt.mode_counter() >= 4,
-            "background thread should cycle back to Mode Q (counter={})",
-            rt.mode_counter()
+        // No stale workers exist, so background steps drive the TM through
+        // QtoU -> U; with no sticky flags it then returns to Q via UtoQ.
+        let seen = std::cell::RefCell::new(vec![rt.current_mode()]);
+        let back_in_q = step_until(&rt, 100, |rt| {
+            let mode = rt.current_mode();
+            let mut seen = seen.borrow_mut();
+            if seen.last() != Some(&mode) {
+                seen.push(mode);
+            }
+            mode == Mode::Q
+        });
+        assert!(back_in_q, "no return to Mode Q within 100 steps");
+        assert_eq!(
+            seen.into_inner(),
+            [Mode::QtoU, Mode::U, Mode::UtoQ, Mode::Q]
         );
-        assert_eq!(rt.current_mode(), Mode::Q);
-        rt.shutdown();
+        assert_eq!(rt.mode_counter(), 4);
     }
 
     #[test]

@@ -21,6 +21,7 @@
 //! drains in-flight transactions, then closes the session with a final
 //! flush, so no fsynced write is ever lost.
 
+mod affinity;
 pub mod client;
 pub mod kv;
 pub mod proto;

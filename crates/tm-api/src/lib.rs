@@ -41,7 +41,6 @@ pub mod padded;
 pub mod record;
 pub mod stats;
 pub mod sync;
-pub mod topology;
 pub mod traits;
 pub mod txset;
 pub mod txword;
@@ -54,7 +53,6 @@ pub use clock::{ClockCache, GlobalClock};
 pub use locktable::{LockTable, StripeIndex};
 pub use padded::CachePadded;
 pub use stats::{StatsRegistry, ThreadStats, TmStatsSnapshot};
-pub use topology::Topology;
 pub use traits::{Handle, Protocol, TmHandle, TmRuntime, Transaction, TxKind, TxOutcome};
 pub use txset::{
     InlineVec, LockedStripes, RedoEntry, RedoLog, StripeReadSet, UndoEntry, UndoLog, ValueReadSet,

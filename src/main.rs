@@ -23,7 +23,7 @@ fn main() {
     println!();
     println!("Figures:    cargo run --release -p bench --bin fig1_teaser -- --help");
     println!("            (fig1_teaser, fig3_4_access_counts, fig6_abtree, fig7_flawed_workload,");
-    println!("             fig8_time_varying, fig9_memory, fig10_energy, fig11_avl, fig12_extbst,");
+    println!("             fig8_time_varying, fig9_memory, fig11_avl, fig12_extbst,");
     println!("             fig13_hashmap, modes_table)");
     println!();
     println!("Tests:      cargo test --workspace");
