@@ -6,9 +6,12 @@
 //!   `--scale`, `--updaters`, `--tms` and `--csv` (see
 //!   [`harness::BenchArgs`]). Scale 1.0 reproduces the paper's 1M-key
 //!   configuration; the defaults are laptop-sized.
-//! * `benches/` contains Criterion micro-benchmarks over the same code paths
-//!   (single-threaded op batches per TM, plus substrate micro-benchmarks),
-//!   sized so `cargo bench --workspace` completes in minutes.
+//! * `benches/` contains three Criterion micro-benchmarks below the figure
+//!   level: raw TM operations per TM (`stm_microbench`), the Multiverse
+//!   substrates (`substrate_microbench`) and the `txset` hot-path
+//!   primitives (`txset_microbench`), sized so `cargo bench -p bench`
+//!   completes in minutes. The figures themselves are measured only by the
+//!   `src/bin/` binaries.
 //!
 //! This library crate only hosts small helpers shared by those targets.
 

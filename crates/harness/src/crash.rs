@@ -31,14 +31,13 @@
 //! way real incidents do (silent media corruption, a resurrected unfsynced
 //! suffix). Sound recovery degrades cleanly; the deliberately broken
 //! [`RecoverOpts`] modes replay the damage, and the point of this module is
-//! that the checker then **fails** — see the `--broken-*` modes of the
-//! `crash` binary and `tests/crash_recovery.rs`.
+//! that the checker then **fails** — see `harness crash --broken-*` and
+//! `tests/crash_recovery.rs`.
 
 use crate::checker::{self, Report};
-use crate::scenario::{bump, payload};
+use crate::scenario::{bump, payload, thread_rng_for};
 use multiverse::{MultiverseConfig, MultiverseRuntime};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::Rng;
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -167,10 +166,6 @@ impl CrashRun {
     }
 }
 
-fn thread_rng_for(seed: u64, thread: usize) -> StdRng {
-    StdRng::seed_from_u64(seed ^ (thread as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15))
-}
-
 /// Cross-thread choreography around the mid-run checkpoint. Threads other
 /// than 0 park at their halfway point until the checkpoint has been written,
 /// which guarantees a deterministic suffix of commits *after* the checkpoint
@@ -264,17 +259,7 @@ pub fn execute(spec: &CrashSpec, dir: &Path) -> CrashRun {
         while ctl.parked.load(Ordering::Acquire) < spec.threads - 1 {
             std::hint::spin_loop();
         }
-        let mut h = rt.register();
-        let (rv, image) = h.txn(TxKind::ReadOnly, |tx| {
-            debug_assert!(tx.is_versioned_attempt());
-            let rv = tx.snapshot_clock();
-            let mut image = Vec::with_capacity(vars.len());
-            for v in &vars {
-                image.push((v.word().addr() as u64, tx.read_var(v)?));
-            }
-            Ok((rv, image))
-        });
-        let _ = handle.checkpoint(rv, &image);
+        write_checkpoint(&rt, &mut handle, &vars);
         ctl.checkpoint_done.store(true, Ordering::Release);
     });
     // Workers are joined, so every fetched seq has been pushed; finish()'s
@@ -294,6 +279,27 @@ pub fn execute(spec: &CrashSpec, dir: &Path) -> CrashRun {
         final_mem,
         finish,
     }
+}
+
+/// Write a checkpoint of `vars` from a Mode-V snapshot: one versioned
+/// read-only transaction reads the whole array at its read clock, which is
+/// the checkpoint's exact cut.
+pub(crate) fn write_checkpoint(
+    rt: &Arc<MultiverseRuntime>,
+    handle: &mut wal::WalHandle,
+    vars: &[TVar<u64>],
+) {
+    let mut h = rt.register();
+    let (rv, image) = h.txn(TxKind::ReadOnly, |tx| {
+        debug_assert!(tx.is_versioned_attempt());
+        let rv = tx.snapshot_clock();
+        let mut image = Vec::with_capacity(vars.len());
+        for v in vars {
+            image.push((v.word().addr() as u64, tx.read_var(v)?));
+        }
+        Ok((rv, image))
+    });
+    let _ = handle.checkpoint(rv, &image);
 }
 
 /// Both checkers' verdicts on one recovery of a [`CrashRun`]'s directory.

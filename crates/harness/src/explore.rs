@@ -74,7 +74,7 @@
 //! timestamps, so it must run in a build with debug assertions (the default
 //! for `cargo test` / `cargo run`).
 
-use crate::checker::{self, History, Report};
+use crate::checker::{self, History, Report, Violation};
 use crate::scenario::{bump, payload};
 use multiverse::{ForcedMode, MultiverseConfig, MultiverseRuntime};
 use std::ops::ControlFlow;
@@ -82,7 +82,7 @@ use std::sync::{Arc, Mutex, MutexGuard};
 use tm_api::abort::TxResult;
 use tm_api::record::ThreadLog;
 use tm_api::{TVar, TmHandle, TmRuntime, Transaction, TxKind};
-use txstructs::{TxAbTree, TxAvlTree, TxExtBst, TxHashMap};
+use txstructs::{TxAbTree, TxAvlTree, TxExtBst, TxHashMap, TxSet};
 
 pub use sim::{ExploreConfig, ExploreStats, Strategy};
 
@@ -90,57 +90,30 @@ pub use sim::{ExploreConfig, ExploreStats, Strategy};
 // Specs
 // ---------------------------------------------------------------------------
 
-/// An exploration scenario family (see the module docs).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ExploreScenario {
-    /// Versioned read path vs a committing updater.
-    Traverse,
-    /// Supersede-time retirement, EBR grace, arena recycling.
-    Supersede,
-    /// Mode machine vs the begin() announce-and-confirm handshake.
-    ModeSwitch,
-    /// Unversioned commit path under write-write conflict.
-    Commit,
-    /// (a,b)-tree workload crossing a root split.
-    AbTree,
-    /// AVL workload crossing a rebalancing rotation.
-    Avl,
-    /// External-BST workload crossing internal-node create/collapse.
-    ExtBst,
-    /// Hashmap workload relinking a bucket through reused node memory.
-    HashMap,
+named_enum! {
+    /// An exploration scenario family (see the module docs): the four
+    /// TM-protocol scenarios, then the four structure scenarios.
+    pub enum ExploreScenario {
+        /// Versioned read path vs a committing updater.
+        Traverse => "traverse",
+        /// Supersede-time retirement, EBR grace, arena recycling.
+        Supersede => "supersede",
+        /// Mode machine vs the begin() announce-and-confirm handshake.
+        ModeSwitch => "mode-switch",
+        /// Unversioned commit path under write-write conflict.
+        Commit => "commit",
+        /// (a,b)-tree workload crossing a root split.
+        AbTree => "abtree",
+        /// AVL workload crossing a rebalancing rotation.
+        Avl => "avl",
+        /// External-BST workload crossing internal-node create/collapse.
+        ExtBst => "extbst",
+        /// Hashmap workload relinking a bucket through reused node memory.
+        HashMap => "hashmap",
+    }
 }
 
 impl ExploreScenario {
-    /// The TM-protocol scenarios (raw `TVar` models), in documentation
-    /// order.
-    pub fn protocol() -> Vec<ExploreScenario> {
-        vec![
-            ExploreScenario::Traverse,
-            ExploreScenario::Supersede,
-            ExploreScenario::ModeSwitch,
-            ExploreScenario::Commit,
-        ]
-    }
-
-    /// The structure scenarios (`txstructs` workloads), in documentation
-    /// order.
-    pub fn structures() -> Vec<ExploreScenario> {
-        vec![
-            ExploreScenario::AbTree,
-            ExploreScenario::Avl,
-            ExploreScenario::ExtBst,
-            ExploreScenario::HashMap,
-        ]
-    }
-
-    /// Every scenario, in documentation order.
-    pub fn all() -> Vec<ExploreScenario> {
-        let mut v = ExploreScenario::protocol();
-        v.extend(ExploreScenario::structures());
-        v
-    }
-
     /// Whether this scenario drives a `txstructs` structure (and therefore
     /// needs the deterministic node-reuse stack).
     pub fn is_structure(self) -> bool {
@@ -153,65 +126,28 @@ impl ExploreScenario {
         )
     }
 
-    /// Stable CLI name.
-    pub fn name(self) -> &'static str {
-        match self {
-            ExploreScenario::Traverse => "traverse",
-            ExploreScenario::Supersede => "supersede",
-            ExploreScenario::ModeSwitch => "mode-switch",
-            ExploreScenario::Commit => "commit",
-            ExploreScenario::AbTree => "abtree",
-            ExploreScenario::Avl => "avl",
-            ExploreScenario::ExtBst => "extbst",
-            ExploreScenario::HashMap => "hashmap",
-        }
-    }
-
     /// Number of simulated threads the scenario's model runs (the main
     /// thread plus its spawned workers).
     pub fn threads(self) -> usize {
         3
     }
-
-    /// Parse a CLI name.
-    pub fn parse(s: &str) -> Option<ExploreScenario> {
-        ExploreScenario::all().into_iter().find(|k| k.name() == s)
-    }
 }
 
-/// A reintroduced historical bug, enabled for one exploration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BrokenDemo {
-    /// PR 1: accept versions stamped exactly at the read clock (`<=`).
-    TraverseLe,
-    /// PR 2: retire superseded nodes without waiting for the clock gate.
-    SupersedeGate,
-    /// PR 4: initialise structure nodes with raw stores instead of TM
-    /// writes, so a reused address leaks the previous node generation's
-    /// version lists to multiversioned readers (ghost keys).
-    StructRawInit,
+named_enum! {
+    /// A reintroduced historical bug, enabled for one exploration.
+    pub enum BrokenDemo {
+        /// Accept versions stamped exactly at the read clock (`<=`).
+        TraverseLe => "traverse-le",
+        /// Retire superseded nodes without waiting for the clock gate.
+        SupersedeGate => "supersede-gate",
+        /// Initialise structure nodes with raw stores instead of TM writes,
+        /// so a reused address leaks the previous node generation's version
+        /// lists to multiversioned readers (ghost keys).
+        StructRawInit => "struct-raw-init",
+    }
 }
 
 impl BrokenDemo {
-    /// Stable CLI name.
-    pub fn name(self) -> &'static str {
-        match self {
-            BrokenDemo::TraverseLe => "traverse-le",
-            BrokenDemo::SupersedeGate => "supersede-gate",
-            BrokenDemo::StructRawInit => "struct-raw-init",
-        }
-    }
-
-    /// Parse a CLI name.
-    pub fn parse(s: &str) -> Option<BrokenDemo> {
-        match s {
-            "traverse-le" => Some(BrokenDemo::TraverseLe),
-            "supersede-gate" => Some(BrokenDemo::SupersedeGate),
-            "struct-raw-init" => Some(BrokenDemo::StructRawInit),
-            _ => None,
-        }
-    }
-
     /// The scenario this demo's bug is reachable from.
     pub fn scenario(self) -> ExploreScenario {
         match self {
@@ -225,11 +161,33 @@ impl BrokenDemo {
     }
 }
 
+/// A scenario the explorer can run: a fixed program executed once per
+/// explored schedule ([`ExploreScenario`] here, the WAL scenarios in
+/// `explore_wal`).
+pub trait ExploreModel: Copy + Send + Sync + 'static {
+    /// The `harness` features a repro command line needs.
+    const FEATURES: &'static str;
+
+    /// Stable scenario name.
+    fn name(self) -> &'static str;
+
+    /// Run the model once inside a controlled execution.
+    fn run(self) -> ModelRun;
+}
+
+/// What one model run produced: the canonical recorded history (its digest
+/// is the schedule's replay identity) and every violation raised against
+/// it — checker findings, structure-audit mismatches, recovery verdicts.
+pub struct ModelRun {
+    pub(crate) history: History,
+    pub(crate) violations: Vec<String>,
+}
+
 /// One exploration request.
 #[derive(Debug, Clone)]
-pub struct ExploreSpec {
+pub struct ExploreSpec<S = ExploreScenario> {
     /// The scenario to explore.
-    pub scenario: ExploreScenario,
+    pub scenario: S,
     /// Exhaustive DFS, seeded sampling, or single-token replay.
     pub strategy: Strategy,
     /// Maximum preemptive context switches per schedule.
@@ -240,9 +198,9 @@ pub struct ExploreSpec {
     pub stop_on_violation: bool,
 }
 
-impl ExploreSpec {
+impl<S> ExploreSpec<S> {
     /// Exhaustive exploration of a scenario with the given preemption bound.
-    pub fn exhaustive(scenario: ExploreScenario, preemption_bound: u32) -> Self {
+    pub fn exhaustive(scenario: S, preemption_bound: u32) -> Self {
         Self {
             scenario,
             strategy: Strategy::Exhaustive,
@@ -371,14 +329,23 @@ pub(crate) fn sim_config() -> MultiverseConfig {
     }
 }
 
+/// Forced Mode Q with versioned read-only transactions from the first
+/// attempt (k1 = 0): every read-only traversal walks version lists. The
+/// `traverse`, `supersede` and structure scenarios run on it — in the last,
+/// that is the path the raw-init demo corrupts.
+fn versioned_mode_q_config() -> MultiverseConfig {
+    MultiverseConfig {
+        forced_mode: Some(ForcedMode::ModeQ),
+        k1_versioned_after: 0,
+        ..sim_config()
+    }
+}
+
 /// RMW a variable under the checker's discipline: read, then write a value
 /// with a bumped sequence number and an incremented payload.
-fn rmw<T: Transaction>(tx: &mut T, var: &TVar<u64>) -> TxResult<()> {
+pub(crate) fn rmw<T: Transaction>(tx: &mut T, var: &TVar<u64>) -> TxResult<()> {
     let v = tx.read_var(var)?;
-    tx.write_var(
-        var,
-        crate::scenario::bump(v, crate::scenario::payload(v) + 1),
-    )
+    tx.write_var(var, bump(v, payload(v) + 1))
 }
 
 /// Read every variable in one read-only transaction (pre-versions the
@@ -398,20 +365,12 @@ type ModelParts = (Arc<MultiverseRuntime>, Arc<Vec<TVar<u64>>>);
 /// consistent snapshot; the `traverse-le` demo makes the torn old/new
 /// mixture reachable.
 fn model_traverse() -> ModelParts {
-    let cfg = MultiverseConfig {
-        forced_mode: Some(ForcedMode::ModeQ),
-        k1_versioned_after: 0,
-        ..sim_config()
-    };
-    let rt = MultiverseRuntime::start(cfg);
+    let rt = MultiverseRuntime::start(versioned_mode_q_config());
     let vars = Arc::new(vec![TVar::new(0u64), TVar::new(0u64)]);
-    {
-        // Pre-version both addresses from the main thread (deterministic
-        // prefix: no other thread is running yet).
-        let mut h = rt.register();
-        let vs = Arc::clone(&vars);
-        h.txn(TxKind::ReadOnly, move |tx| read_all(tx, &vs));
-    }
+    // Pre-version both addresses from the main thread (deterministic
+    // prefix: no other thread is running yet).
+    rt.register()
+        .txn(TxKind::ReadOnly, |tx| read_all(tx, &vars));
     let (rt_w, vars_w) = (Arc::clone(&rt), Arc::clone(&vars));
     let w = sim::thread::spawn(move || {
         let mut h = rt_w.register();
@@ -438,18 +397,10 @@ fn model_traverse() -> ModelParts {
 /// `supersede-gate` demo retires them immediately, so schedules where the
 /// reader starts after reclamation walk into a recycled (poisoned) node.
 fn model_supersede() -> ModelParts {
-    let cfg = MultiverseConfig {
-        forced_mode: Some(ForcedMode::ModeQ),
-        k1_versioned_after: 0,
-        ..sim_config()
-    };
-    let rt = MultiverseRuntime::start(cfg);
+    let rt = MultiverseRuntime::start(versioned_mode_q_config());
     let vars = Arc::new(vec![TVar::new(0u64)]);
-    {
-        let mut h = rt.register();
-        let vs = Arc::clone(&vars);
-        h.txn(TxKind::ReadOnly, move |tx| read_all(tx, &vs));
-    }
+    rt.register()
+        .txn(TxKind::ReadOnly, |tx| read_all(tx, &vars));
     let (rt_w, vars_w) = (Arc::clone(&rt), Arc::clone(&vars));
     let w = sim::thread::spawn(move || {
         {
@@ -550,43 +501,27 @@ fn model_commit() -> ModelParts {
 // Structure scenario models
 // ---------------------------------------------------------------------------
 
-/// The slice of the `txstructs` API the structure scenarios drive: the
-/// transaction-composable point operations, so every structure op can share
-/// a transaction with its presence-variable update.
-trait SimSet: Send + Sync + 'static {
-    const NAME: &'static str;
-    fn insert_tx<X: Transaction>(&self, tx: &mut X, key: u64, val: u64) -> TxResult<bool>;
-    fn remove_tx<X: Transaction>(&self, tx: &mut X, key: u64) -> TxResult<bool>;
-    fn contains_tx<X: Transaction>(&self, tx: &mut X, key: u64) -> TxResult<bool>;
-}
-
-macro_rules! impl_sim_set {
-    ($ty:ty, $name:literal) => {
-        impl SimSet for $ty {
-            const NAME: &'static str = $name;
-            fn insert_tx<X: Transaction>(&self, tx: &mut X, k: u64, v: u64) -> TxResult<bool> {
-                <$ty>::insert_tx(self, tx, k, v)
-            }
-            fn remove_tx<X: Transaction>(&self, tx: &mut X, k: u64) -> TxResult<bool> {
-                <$ty>::remove_tx(self, tx, k)
-            }
-            fn contains_tx<X: Transaction>(&self, tx: &mut X, k: u64) -> TxResult<bool> {
-                <$ty>::contains_tx(self, tx, k)
-            }
-        }
-    };
-}
-
-impl_sim_set!(TxAbTree, "abtree");
-impl_sim_set!(TxAvlTree, "avl");
-impl_sim_set!(TxExtBst, "extbst");
-impl_sim_set!(TxHashMap, "hashmap");
-
 /// Attempt budget for structure-scenario transactions: with two workers and
 /// encounter-time locking a conflicting attempt aborts and retries; the
 /// budget is generous enough that give-ups are rare (and a give-up is a
 /// no-op, so the presence cross-check stays sound either way).
 const STRUCT_TX_BUDGET: u64 = 8;
+
+/// One step of a structure scenario's script.
+#[derive(Debug, Clone, Copy)]
+enum Step {
+    /// Insert the key and flip its presence payload to 1, in one transaction.
+    Insert(u64),
+    /// Remove the key and flip its presence payload to 0, in one transaction.
+    Remove(u64),
+    /// Read-only `contains`, cross-checked against the presence payload the
+    /// same transaction observed.
+    Contains(u64),
+    /// Drop the script's handle (orphaning its retirement bags) and drive
+    /// `bg_step` four times, so EBR hands the retired nodes' memory to the
+    /// deterministic reuse stack.
+    Flush,
+}
 
 /// Shared state of one structure scenario run: the structure, its fixed key
 /// universe, one presence variable per key, and the audit log.
@@ -601,23 +536,14 @@ const STRUCT_TX_BUDGET: u64 = 8;
 /// yield points (threads never contend — the simulated scheduler runs one
 /// at a time), so auditing does not perturb the schedule space.
 struct StructCtx<S> {
+    name: &'static str,
     set: S,
     keys: Vec<u64>,
     presence: Arc<Vec<TVar<u64>>>,
     audit: std::sync::Mutex<Vec<String>>,
 }
 
-impl<S: SimSet> StructCtx<S> {
-    fn new(set: S, keys: Vec<u64>) -> Arc<Self> {
-        let presence = Arc::new(keys.iter().map(|_| TVar::new(0u64)).collect::<Vec<_>>());
-        Arc::new(StructCtx {
-            set,
-            keys,
-            presence,
-            audit: std::sync::Mutex::new(Vec::new()),
-        })
-    }
-
+impl<S: TxSet> StructCtx<S> {
     fn pvar(&self, key: u64) -> &TVar<u64> {
         let i = self
             .keys
@@ -634,59 +560,37 @@ impl<S: SimSet> StructCtx<S> {
             .push(line);
     }
 
-    /// Insert `key` and flip its presence payload to 1 in one transaction.
-    fn insert<H: TmHandle>(&self, h: &mut H, key: u64) {
+    /// Insert (`insert == true`) or remove `key` and flip its presence
+    /// payload in the same transaction; the answer must match the payload
+    /// read there.
+    fn toggle<H: TmHandle>(&self, h: &mut H, key: u64, insert: bool) {
         let pv = self.pvar(key);
         let out = h.txn_budget(TxKind::ReadWrite, STRUCT_TX_BUDGET, |tx| {
-            let did = self.set.insert_tx(tx, key, key)?;
+            let did = if insert {
+                self.set.insert_tx(tx, key, key)?
+            } else {
+                self.set.remove_tx(tx, key)?
+            };
             let p = tx.read_var(pv)?;
             if did {
-                tx.write_var(pv, bump(p, 1))?;
+                tx.write_var(pv, bump(p, u64::from(insert)))?;
             }
             Ok((did, p))
         });
         if let Some((did, p)) = out.committed() {
-            if did != (payload(p) == 0) {
+            if did != (payload(p) == u64::from(!insert)) {
                 self.note(format!(
-                    "{}: insert({key}) returned {did} but the atomically-read \
+                    "{}: {}({key}) returned {did} but the atomically-read \
                      presence payload was {}",
-                    S::NAME,
+                    self.name,
+                    if insert { "insert" } else { "remove" },
                     payload(p)
                 ));
             }
         }
     }
 
-    /// Remove `key` and flip its presence payload to 0 in one transaction.
-    fn remove<H: TmHandle>(&self, h: &mut H, key: u64) {
-        let pv = self.pvar(key);
-        let out = h.txn_budget(TxKind::ReadWrite, STRUCT_TX_BUDGET, |tx| {
-            let did = self.set.remove_tx(tx, key)?;
-            let p = tx.read_var(pv)?;
-            if did {
-                tx.write_var(pv, bump(p, 0))?;
-            }
-            Ok((did, p))
-        });
-        if let Some((did, p)) = out.committed() {
-            if did != (payload(p) == 1) {
-                self.note(format!(
-                    "{}: remove({key}) returned {did} but the atomically-read \
-                     presence payload was {}",
-                    S::NAME,
-                    payload(p)
-                ));
-            }
-        }
-    }
-
-    /// Read-only `contains(key)` cross-checked against the presence payload
-    /// the same transaction observed.
-    fn contains<H: TmHandle>(&self, h: &mut H, key: u64) {
-        self.contains_labeled(h, key, "contains");
-    }
-
-    fn contains_labeled<H: TmHandle>(&self, h: &mut H, key: u64, label: &str) {
+    fn contains<H: TmHandle>(&self, h: &mut H, key: u64, label: &str) {
         let pv = self.pvar(key);
         let out = h.txn_budget(TxKind::ReadOnly, STRUCT_TX_BUDGET, |tx| {
             Ok((self.set.contains_tx(tx, key)?, tx.read_var(pv)?))
@@ -696,241 +600,167 @@ impl<S: SimSet> StructCtx<S> {
                 self.note(format!(
                     "{}: {label}({key}) saw {c} but the atomically-read \
                      presence payload was {}",
-                    S::NAME,
+                    self.name,
                     payload(p)
                 ));
             }
         }
     }
 
-    /// After the workers have joined: audit every key of the universe with
-    /// a fresh read clock (a versioned reader on the scenarios' forced
-    /// Mode Q path, so ghost keys left in stale version lists are visible).
-    fn final_audit<H: TmHandle>(&self, h: &mut H) {
-        for i in 0..self.keys.len() {
-            self.contains_labeled(h, self.keys[i], "final-audit contains");
+    /// Run `script` on the calling (simulated) thread. The handle is
+    /// registered at the first operation and dropped at a `Flush` and at the
+    /// end of the script.
+    fn run(&self, rt: &Arc<MultiverseRuntime>, script: &[Step]) {
+        let mut handle = None;
+        for &step in script {
+            let key = match step {
+                Step::Insert(key) | Step::Remove(key) | Step::Contains(key) => key,
+                Step::Flush => {
+                    handle = None;
+                    let mut ebr = rt.bg_ebr_handle();
+                    let mut samples = Vec::new();
+                    for _ in 0..4 {
+                        rt.bg_step(&mut ebr, &mut samples);
+                    }
+                    continue;
+                }
+            };
+            let h = handle.get_or_insert_with(|| rt.register());
+            match step {
+                Step::Contains(_) => self.contains(h, key, "contains"),
+                _ => self.toggle(h, key, matches!(step, Step::Insert(_))),
+            }
         }
-    }
-
-    fn finish(self: Arc<Self>, rt: Arc<MultiverseRuntime>) -> StructParts {
-        let audit = std::mem::take(&mut *self.audit.lock().unwrap_or_else(|e| e.into_inner()));
-        let presence = Arc::clone(&self.presence);
-        (rt, presence, audit)
     }
 }
 
-type StructParts = (Arc<MultiverseRuntime>, Arc<Vec<TVar<u64>>>, Vec<String>);
-
-/// Configuration for the structure scenarios: forced Mode Q with versioned
-/// read-only transactions from the first attempt, so every contains/audit
-/// traversal walks version lists — the path the raw-init demo corrupts.
-fn struct_cfg() -> MultiverseConfig {
-    MultiverseConfig {
-        forced_mode: Some(ForcedMode::ModeQ),
-        k1_versioned_after: 0,
-        ..sim_config()
+/// The generic structure model: the main thread runs `prefix`, two workers
+/// run their scripts concurrently, then the main thread audits every key of
+/// the universe with a fresh read clock (a versioned reader on the forced
+/// Mode Q path, so ghost keys left in stale version lists are visible).
+fn model_struct<S: TxSet>(
+    scen: ExploreScenario,
+    set: S,
+    keys: Vec<u64>,
+    prefix: &[Step],
+    workers: [&'static [Step]; 2],
+) -> (ModelParts, Vec<String>) {
+    let rt = MultiverseRuntime::start(versioned_mode_q_config());
+    let presence = Arc::new(keys.iter().map(|_| TVar::new(0u64)).collect::<Vec<_>>());
+    let ctx = Arc::new(StructCtx {
+        name: scen.name(),
+        set,
+        keys,
+        presence: Arc::clone(&presence),
+        audit: std::sync::Mutex::new(Vec::new()),
+    });
+    ctx.run(&rt, prefix);
+    let threads: Vec<_> = workers
+        .into_iter()
+        .map(|script| {
+            let (rt, cx) = (Arc::clone(&rt), Arc::clone(&ctx));
+            sim::thread::spawn(move || cx.run(&rt, script))
+        })
+        .collect();
+    for t in threads {
+        t.join().unwrap();
     }
-}
-
-/// `abtree`: the prefix fills the root leaf to capacity (`MAX_KEYS` = 16),
-/// so one worker's insert of the 17th key crosses the root split while the
-/// other worker removes and looks up keys moved by that split.
-fn model_struct_abtree() -> StructParts {
-    let rt = MultiverseRuntime::start(struct_cfg());
-    let ctx = StructCtx::new(
-        TxAbTree::new(),
-        (0..=txstructs::abtree::MAX_KEYS as u64).collect(),
-    );
     {
         let mut h = rt.register();
-        for k in 0..txstructs::abtree::MAX_KEYS as u64 {
-            ctx.insert(&mut h, k);
+        for &key in &ctx.keys {
+            ctx.contains(&mut h, key, "final-audit contains");
         }
     }
-    let (rt_a, cx) = (Arc::clone(&rt), Arc::clone(&ctx));
-    let w1 = sim::thread::spawn(move || {
-        let mut h = rt_a.register();
-        // The 17th key: splits the full root leaf.
-        cx.insert(&mut h, txstructs::abtree::MAX_KEYS as u64);
-        cx.contains(&mut h, 3);
-    });
-    let (rt_b, cx) = (Arc::clone(&rt), Arc::clone(&ctx));
-    let w2 = sim::thread::spawn(move || {
-        let mut h = rt_b.register();
-        cx.remove(&mut h, 3);
-        cx.contains(&mut h, txstructs::abtree::MAX_KEYS as u64);
-    });
-    w1.join().unwrap();
-    w2.join().unwrap();
-    {
-        let mut h = rt.register();
-        ctx.final_audit(&mut h);
-    }
-    ctx.finish(rt)
+    let audit = std::mem::take(&mut *ctx.audit.lock().unwrap_or_else(|e| e.into_inner()));
+    ((rt, presence), audit)
 }
 
-/// `avl`: ascending prefill (1, 2) leaves a right-leaning chain; one
-/// worker's insert of 3 crosses the rebalancing rotation at the root while
-/// the other removes the old root's key.
-fn model_struct_avl() -> StructParts {
-    let rt = MultiverseRuntime::start(struct_cfg());
-    let ctx = StructCtx::new(TxAvlTree::new(), vec![1, 2, 3]);
-    {
-        let mut h = rt.register();
-        ctx.insert(&mut h, 1);
-        ctx.insert(&mut h, 2);
+/// The structure scenarios as a table: constructor, key universe, prefix
+/// script, and the two workers' scripts.
+///
+/// * `abtree`: the prefix fills the root leaf to capacity (`MAX_KEYS` =
+///   16), so one worker's insert of the 17th key crosses the root split
+///   while the other removes and looks up keys moved by that split.
+/// * `avl`: ascending prefill (1, 2) leaves a right-leaning chain; one
+///   worker's insert of 3 crosses the rebalancing rotation at the root
+///   while the other removes the old root's key.
+/// * `extbst`: the leaf-oriented BST creates an internal node on insert
+///   into a non-empty subtree (15) and collapses one on remove (10); the
+///   two workers cross both transitions concurrently.
+/// * `hashmap`: two buckets; keys 1, 3 and 7 collide (the mixer sends them
+///   to the same bucket), key 2 lands in the other. The prefix builds the
+///   chain, *versioned-pre-reads* it (creating version-list entries for the
+///   chain's words), removes key 1 and flushes EBR until the removed node's
+///   memory reaches the deterministic reuse stack. One worker then inserts
+///   the colliding key 7 — re-allocating exactly that node — while the
+///   other runs versioned lookups through the relinked bucket. With
+///   `TxNodeInit` intact the allocating transaction's TM writes supersede
+///   the stale version lists and every schedule is clean; the
+///   `struct-raw-init` demo initialises the node with raw stores, so
+///   versioned readers traverse into the previous generation's key (a ghost
+///   of removed key 1) — flagged by the presence audit.
+fn run_struct_model(scen: ExploreScenario) -> (ModelParts, Vec<String>) {
+    use Step::{Contains, Flush, Insert, Remove};
+    const FULL: u64 = txstructs::abtree::MAX_KEYS as u64;
+    match scen {
+        ExploreScenario::AbTree => model_struct(
+            scen,
+            TxAbTree::new(),
+            (0..=FULL).collect(),
+            &(0..FULL).map(Insert).collect::<Vec<_>>(),
+            [&[Insert(FULL), Contains(3)], &[Remove(3), Contains(FULL)]],
+        ),
+        ExploreScenario::Avl => model_struct(
+            scen,
+            TxAvlTree::new(),
+            vec![1, 2, 3],
+            &[Insert(1), Insert(2)],
+            [&[Insert(3), Contains(1)], &[Remove(1), Contains(3)]],
+        ),
+        ExploreScenario::ExtBst => model_struct(
+            scen,
+            TxExtBst::new(),
+            vec![10, 15, 20],
+            &[Insert(10), Insert(20)],
+            [&[Insert(15), Contains(20)], &[Remove(10), Contains(15)]],
+        ),
+        ExploreScenario::HashMap => model_struct(
+            scen,
+            TxHashMap::new(2),
+            vec![1, 2, 3, 7],
+            &[
+                Insert(1),
+                Insert(2),
+                Insert(3),
+                Contains(1),
+                Contains(2),
+                Contains(3),
+                Remove(1),
+                Flush,
+            ],
+            [&[Insert(7), Contains(3)], &[Contains(1), Contains(7)]],
+        ),
+        _ => unreachable!("{} is a protocol scenario", scen.name()),
     }
-    let (rt_a, cx) = (Arc::clone(&rt), Arc::clone(&ctx));
-    let w1 = sim::thread::spawn(move || {
-        let mut h = rt_a.register();
-        // Third key of the ascending chain: rotation at the root.
-        cx.insert(&mut h, 3);
-        cx.contains(&mut h, 1);
-    });
-    let (rt_b, cx) = (Arc::clone(&rt), Arc::clone(&ctx));
-    let w2 = sim::thread::spawn(move || {
-        let mut h = rt_b.register();
-        cx.remove(&mut h, 1);
-        cx.contains(&mut h, 3);
-    });
-    w1.join().unwrap();
-    w2.join().unwrap();
-    {
-        let mut h = rt.register();
-        ctx.final_audit(&mut h);
-    }
-    ctx.finish(rt)
-}
-
-/// `extbst`: the leaf-oriented BST creates an internal node on insert into
-/// a non-empty subtree and collapses one on remove; the two workers cross
-/// both transitions concurrently.
-fn model_struct_extbst() -> StructParts {
-    let rt = MultiverseRuntime::start(struct_cfg());
-    let ctx = StructCtx::new(TxExtBst::new(), vec![10, 15, 20]);
-    {
-        let mut h = rt.register();
-        ctx.insert(&mut h, 10);
-        ctx.insert(&mut h, 20);
-    }
-    let (rt_a, cx) = (Arc::clone(&rt), Arc::clone(&ctx));
-    let w1 = sim::thread::spawn(move || {
-        let mut h = rt_a.register();
-        cx.insert(&mut h, 15); // splits a leaf: new internal + new leaf
-        cx.contains(&mut h, 20);
-    });
-    let (rt_b, cx) = (Arc::clone(&rt), Arc::clone(&ctx));
-    let w2 = sim::thread::spawn(move || {
-        let mut h = rt_b.register();
-        cx.remove(&mut h, 10); // collapses an internal node
-        cx.contains(&mut h, 15);
-    });
-    w1.join().unwrap();
-    w2.join().unwrap();
-    {
-        let mut h = rt.register();
-        ctx.final_audit(&mut h);
-    }
-    ctx.finish(rt)
-}
-
-/// `hashmap`: two buckets; keys 1, 3 and 7 collide (the mixer sends them
-/// to the same bucket), key 2 lands in the other. The prefix builds the
-/// chain, *versioned-pre-reads* it (creating version-list entries for the
-/// chain's words), removes key 1 and drives EBR until the removed node's
-/// memory reaches the deterministic reuse stack. One worker then inserts
-/// the colliding key 7 — re-allocating exactly that node — while the other
-/// runs versioned lookups through the relinked bucket. With `TxNodeInit`
-/// intact the allocating transaction's TM writes supersede the stale
-/// version lists and every schedule is clean; the `struct-raw-init` demo
-/// initialises the node with raw stores, so versioned readers traverse
-/// into the previous generation's key (a ghost of removed key 1) — flagged
-/// by the presence audit.
-fn model_struct_hashmap() -> StructParts {
-    let rt = MultiverseRuntime::start(struct_cfg());
-    let ctx = StructCtx::new(TxHashMap::new(2), vec![1, 2, 3, 7]);
-    {
-        let mut h = rt.register();
-        for k in [1, 2, 3] {
-            ctx.insert(&mut h, k);
-        }
-        // Versioned pre-read: walk both buckets so the chain words (bucket
-        // heads, node keys, next pointers) get version-list entries.
-        for k in [1, 2, 3] {
-            ctx.contains(&mut h, k);
-        }
-        ctx.remove(&mut h, 1);
-        // Handle drop orphans the retirement bag holding the removed node.
-    }
-    {
-        // EBR flush (deterministic prefix: no workers yet): the removed
-        // node's memory lands on the sim reuse stack.
-        let mut ebr = rt.bg_ebr_handle();
-        let mut samples = Vec::new();
-        for _ in 0..4 {
-            rt.bg_step(&mut ebr, &mut samples);
-        }
-    }
-    let (rt_a, cx) = (Arc::clone(&rt), Arc::clone(&ctx));
-    let w1 = sim::thread::spawn(move || {
-        let mut h = rt_a.register();
-        cx.insert(&mut h, 7); // collides with 1 and 3: reuses the freed node
-        cx.contains(&mut h, 3);
-    });
-    let (rt_b, cx) = (Arc::clone(&rt), Arc::clone(&ctx));
-    let w2 = sim::thread::spawn(move || {
-        let mut h = rt_b.register();
-        cx.contains(&mut h, 1); // ghost under raw init once 7 is in
-        cx.contains(&mut h, 7);
-    });
-    w1.join().unwrap();
-    w2.join().unwrap();
-    {
-        let mut h = rt.register();
-        ctx.final_audit(&mut h);
-    }
-    ctx.finish(rt)
 }
 
 // ---------------------------------------------------------------------------
 // Model driver
 // ---------------------------------------------------------------------------
 
-/// What one model run produced: the canonical recorded history of its
-/// presence/protocol variables, plus any structure-audit mismatches.
-struct ModelRun {
-    history: History,
-    audit: Vec<String>,
-}
-
-/// Run one scenario to completion inside a controlled execution and return
-/// its canonical recorded history plus the structure-audit findings.
+/// Run one scenario to completion inside a controlled execution: its
+/// canonical recorded history, checked, plus the structure-audit findings.
 fn run_model(scen: ExploreScenario) -> ModelRun {
     // Fresh, deterministic node-reuse state for every explored schedule.
     txstructs::node::sim_node_reuse_reset();
     txstructs::node::sim_node_reuse(scen.is_structure());
     let guard = tm_api::record::start();
-    let (rt, vars, audit) = match scen {
-        ExploreScenario::Traverse => {
-            let (rt, vars) = model_traverse();
-            (rt, vars, Vec::new())
-        }
-        ExploreScenario::Supersede => {
-            let (rt, vars) = model_supersede();
-            (rt, vars, Vec::new())
-        }
-        ExploreScenario::ModeSwitch => {
-            let (rt, vars) = model_mode_switch();
-            (rt, vars, Vec::new())
-        }
-        ExploreScenario::Commit => {
-            let (rt, vars) = model_commit();
-            (rt, vars, Vec::new())
-        }
-        ExploreScenario::AbTree => model_struct_abtree(),
-        ExploreScenario::Avl => model_struct_avl(),
-        ExploreScenario::ExtBst => model_struct_extbst(),
-        ExploreScenario::HashMap => model_struct_hashmap(),
+    let ((rt, vars), audit) = match scen {
+        ExploreScenario::Traverse => (model_traverse(), Vec::new()),
+        ExploreScenario::Supersede => (model_supersede(), Vec::new()),
+        ExploreScenario::ModeSwitch => (model_mode_switch(), Vec::new()),
+        ExploreScenario::Commit => (model_commit(), Vec::new()),
+        _ => run_struct_model(scen),
     };
     tm_api::record::flush_thread();
     let logs = canonicalize_logs(guard.finish());
@@ -946,17 +776,39 @@ fn run_model(scen: ExploreScenario) -> ModelRun {
         initial,
         final_mem,
     );
-    ModelRun { history, audit }
+    let mut violations = violation_lines(&checker::check_history(&history));
+    violations.extend(
+        audit
+            .into_iter()
+            .map(|detail| Violation::StructAudit { detail }.to_string()),
+    );
+    ModelRun {
+        history,
+        violations,
+    }
+}
+
+impl ExploreModel for ExploreScenario {
+    const FEATURES: &'static str = "sim";
+
+    fn name(self) -> &'static str {
+        ExploreScenario::name(self)
+    }
+
+    fn run(self) -> ModelRun {
+        run_model(self)
+    }
 }
 
 // ---------------------------------------------------------------------------
 // The exploration driver
 // ---------------------------------------------------------------------------
 
-/// Explorations are process-exclusive: the broken-demo switches are global
-/// and the recording session is process-wide, so concurrent explorations
-/// (parallel tests) must serialize.
-pub(crate) static EXPLORE_LOCK: Mutex<()> = Mutex::new(());
+/// Explorations are process-exclusive: the broken-demo switches, the
+/// recording session, and the WAL session and crashpoint plan of the WAL
+/// scenarios are global, so concurrent explorations (parallel tests) must
+/// serialize.
+static EXPLORE_LOCK: Mutex<()> = Mutex::new(());
 
 /// Clears the broken-demo switches on scope exit, panics included.
 struct BrokenGuard {
@@ -987,11 +839,8 @@ pub(crate) fn violation_lines(report: &Report) -> Vec<String> {
     report.violations.iter().map(|v| v.to_string()).collect()
 }
 
-/// Run one exploration: every explored schedule's history goes through
-/// [`checker::check_history`]; a schedule that aborts (panic, livelock,
-/// deadlock, stale token) is a violation too.
 /// Restores the default panic hook on scope exit.
-pub(crate) struct PanicHookGuard;
+struct PanicHookGuard;
 
 impl Drop for PanicHookGuard {
     fn drop(&mut self) {
@@ -1006,7 +855,7 @@ impl Drop for PanicHookGuard {
 /// backtrace for each would drown the report — which still carries the
 /// message through `Abort::Panic`. Panics on non-sim threads (the explorer
 /// itself, the test harness) keep the default output.
-pub(crate) fn silence_sim_panics() -> PanicHookGuard {
+fn silence_sim_panics() -> PanicHookGuard {
     let prev = std::panic::take_hook();
     std::panic::set_hook(Box::new(move |info| {
         let on_sim_thread = std::thread::current()
@@ -1019,7 +868,10 @@ pub(crate) fn silence_sim_panics() -> PanicHookGuard {
     PanicHookGuard
 }
 
-pub fn run_explore(spec: &ExploreSpec) -> ExploreReport {
+/// Run one exploration: every explored schedule runs the scenario's model,
+/// and a schedule is violating if its run raised any violation or aborted
+/// (panic, livelock, deadlock, stale token).
+pub fn run_explore<S: ExploreModel>(spec: &ExploreSpec<S>) -> ExploreReport {
     let _guard = BrokenGuard::set(spec.broken);
     let _hook = silence_sim_panics();
     let cfg = ExploreConfig {
@@ -1034,40 +886,27 @@ pub fn run_explore(spec: &ExploreSpec) -> ExploreReport {
     let stats = sim::explore(
         &cfg,
         spec.strategy.clone(),
-        move || run_model(scen),
+        move || scen.run(),
         |outcome| {
-            let (details, digest) = match &outcome.result {
-                Ok(run) => {
-                    let report = checker::check_history(&run.history);
-                    let mut details = violation_lines(&report);
-                    details.extend(run.audit.iter().map(|detail| {
-                        checker::Violation::StructAudit {
-                            detail: detail.clone(),
-                        }
-                        .to_string()
-                    }));
-                    (details, history_digest(&run.history))
-                }
+            let (details, digest) = match outcome.result {
+                Ok(run) => (run.violations, history_digest(&run.history)),
                 Err(abort) => (vec![format!("schedule aborted: {abort:?}")], 0),
             };
             if details.is_empty() {
                 clean += 1;
-                ControlFlow::Continue(())
+                return ControlFlow::Continue(());
+            }
+            violating += 1;
+            first.get_or_insert(ExploreViolation {
+                schedule_index: outcome.index,
+                token: outcome.token,
+                history_digest: digest,
+                details,
+            });
+            if stop {
+                ControlFlow::Break(())
             } else {
-                violating += 1;
-                if first.is_none() {
-                    first = Some(ExploreViolation {
-                        schedule_index: outcome.index,
-                        token: outcome.token.clone(),
-                        history_digest: digest,
-                        details,
-                    });
-                }
-                if stop {
-                    ControlFlow::Break(())
-                } else {
-                    ControlFlow::Continue(())
-                }
+                ControlFlow::Continue(())
             }
         },
     );
@@ -1082,11 +921,12 @@ pub fn run_explore(spec: &ExploreSpec) -> ExploreReport {
 }
 
 /// The stable command line that reproduces a violation found by
-/// [`run_explore`] (satellite of the exploration harness: every violation
-/// prints one of these and the run exits nonzero).
-pub fn repro_command(spec: &ExploreSpec, token: &str) -> String {
+/// [`run_explore`]: every violation prints one of these and the run exits
+/// nonzero.
+pub fn repro_command<S: ExploreModel>(spec: &ExploreSpec<S>, token: &str) -> String {
     let mut cmd = format!(
-        "cargo run -p harness --features sim --bin explore -- --scenario {}",
+        "cargo run -p harness --features {} --bin harness -- explore --scenario {}",
+        S::FEATURES,
         spec.scenario.name()
     );
     if let Some(b) = spec.broken {

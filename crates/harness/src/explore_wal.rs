@@ -37,21 +37,14 @@
 //! checkpoint from a versioned snapshot. Violations carry the schedule's
 //! replay token, same as the protocol and structure scenarios.
 
-use std::ops::ControlFlow;
-use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use crate::checker::{self, History};
-use crate::crash::{CrashRun, RecoverOpts};
-use crate::explore::{
-    canonicalize_logs, history_digest, silence_sim_panics, sim_config, violation_lines,
-    ExploreReport, ExploreViolation, EXPLORE_LOCK,
-};
-use crate::scenario::{bump, payload};
+use crate::checker;
+use crate::crash::{temp_wal_dir, CrashRun, RecoverOpts};
+use crate::explore::{canonicalize_logs, rmw, sim_config, violation_lines, ExploreModel, ModelRun};
 use multiverse::{MultiverseConfig, MultiverseRuntime};
-use sim::{ExploreConfig, Strategy};
-use tm_api::{TVar, TmHandle, TmRuntime, Transaction, TxKind};
+use tm_api::{TVar, TmHandle, TmRuntime, TxKind};
 use wal::crashpoint::{Plan, Site};
 
 // ---------------------------------------------------------------------------
@@ -101,33 +94,6 @@ impl WalScenario {
     }
 }
 
-/// One WAL exploration request (mirror of [`crate::explore::ExploreSpec`]
-/// minus the broken-demo switch — the durability pipeline has no
-/// reintroduced-bug modes, the crash sites *are* the fault dimension).
-#[derive(Debug, Clone)]
-pub struct WalExploreSpec {
-    /// The scenario to explore.
-    pub scenario: WalScenario,
-    /// Exhaustive DFS, seeded sampling, or single-token replay.
-    pub strategy: Strategy,
-    /// Maximum preemptive context switches per schedule.
-    pub preemption_bound: u32,
-    /// Stop at the first violating schedule.
-    pub stop_on_violation: bool,
-}
-
-impl WalExploreSpec {
-    /// Exhaustive exploration of a scenario with the given preemption bound.
-    pub fn exhaustive(scenario: WalScenario, preemption_bound: u32) -> Self {
-        Self {
-            scenario,
-            strategy: Strategy::Exhaustive,
-            preemption_bound,
-            stop_on_violation: true,
-        }
-    }
-}
-
 // ---------------------------------------------------------------------------
 // The model
 // ---------------------------------------------------------------------------
@@ -141,36 +107,13 @@ const TORN_SEED: u64 = 7;
 /// yield point to the schedule space.
 static DIR_SEQ: AtomicU64 = AtomicU64::new(0);
 
-fn fresh_wal_dir() -> PathBuf {
-    let n = DIR_SEQ.fetch_add(1, Ordering::Relaxed);
-    let dir = std::env::temp_dir().join(format!("mv-simwal-{}-{n}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
-}
-
-/// What one model run produced: the canonical live history (for digests and
-/// replay identity) and every violation either checker raised against the
-/// schedule's recovery.
-struct WalModelRun {
-    history: History,
-    violations: Vec<String>,
-}
-
-/// Read-modify-write both variables in one transaction, under the
-/// checker's bump discipline.
-fn rmw_both<T: Transaction>(tx: &mut T, vars: &[TVar<u64>]) -> tm_api::abort::TxResult<()> {
-    for v in vars {
-        let x = tx.read_var(v)?;
-        tx.write_var(v, bump(x, payload(x) + 1))?;
-    }
-    Ok(())
-}
-
 /// Run the WAL model once inside a controlled execution: workload + manual
 /// group commit + checkpoint (+ the scenario's injected crash), then
-/// recovery and both checkers on this schedule's outcome.
-fn run_wal_model(scen: WalScenario) -> WalModelRun {
-    let dir = fresh_wal_dir();
+/// recovery and both checkers on this schedule's outcome. The run's history
+/// is the live one (for digests and replay identity); its violations are
+/// every finding either checker raised against the schedule's recovery.
+fn run_wal_model(scen: WalScenario) -> ModelRun {
+    let dir = temp_wal_dir(&format!("sim-{}", DIR_SEQ.fetch_add(1, Ordering::Relaxed)));
     // The checkpoint snapshot must be a versioned read-only attempt (its
     // read clock is the exact cut); no forced mode — the durability path
     // composes with whatever mode the runtime infers.
@@ -198,13 +141,17 @@ fn run_wal_model(scen: WalScenario) -> WalModelRun {
     let (rt_a, vs) = (Arc::clone(&rt), Arc::clone(&vars));
     let w1 = sim::thread::spawn(move || {
         let mut h = rt_a.register();
-        h.txn(TxKind::ReadWrite, |tx| rmw_both(tx, &vs));
+        h.txn(TxKind::ReadWrite, |tx| {
+            vs.iter().try_for_each(|v| rmw(tx, v))
+        });
         tm_api::record::flush_thread();
     });
     let (rt_b, vs) = (Arc::clone(&rt), Arc::clone(&vars));
     let w2 = sim::thread::spawn(move || {
         let mut h = rt_b.register();
-        h.txn(TxKind::ReadWrite, |tx| rmw_both(tx, &vs));
+        h.txn(TxKind::ReadWrite, |tx| {
+            vs.iter().try_for_each(|v| rmw(tx, v))
+        });
         tm_api::record::flush_thread();
     });
 
@@ -212,19 +159,7 @@ fn run_wal_model(scen: WalScenario) -> WalModelRun {
     // workers' commit taps. One drain before the checkpoint, one after it
     // (serving the rotation request or executing a handed-over crash).
     handle.bg_step();
-    {
-        let mut h = rt.register();
-        let (rv, image) = h.txn(TxKind::ReadOnly, |tx| {
-            debug_assert!(tx.is_versioned_attempt());
-            let rv = tx.snapshot_clock();
-            let mut image = Vec::with_capacity(vars.len());
-            for v in vars.iter() {
-                image.push((v.word().addr() as u64, tx.read_var(v)?));
-            }
-            Ok((rv, image))
-        });
-        let _ = handle.checkpoint(rv, &image);
-    }
+    crate::crash::write_checkpoint(&rt, &mut handle, &vars);
     handle.bg_step();
     w1.join().unwrap();
     w2.join().unwrap();
@@ -261,78 +196,20 @@ fn run_wal_model(scen: WalScenario) -> WalModelRun {
         run.initial,
         run.final_mem,
     );
-    WalModelRun {
+    ModelRun {
         history,
         violations,
     }
 }
 
-// ---------------------------------------------------------------------------
-// The exploration driver
-// ---------------------------------------------------------------------------
+impl ExploreModel for WalScenario {
+    const FEATURES: &'static str = "sim,crashpoint";
 
-/// Run one WAL exploration: every explored schedule executes the model,
-/// recovers its WAL directory and must satisfy both the recovery checker
-/// (durable prefix + floor) and the live history checker.
-pub fn run_wal_explore(spec: &WalExploreSpec) -> ExploreReport {
-    // Same process-exclusive regime as the protocol explorations: the WAL
-    // session, the crashpoint plan and the recording session are global.
-    let _lock = EXPLORE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    let _hook = silence_sim_panics();
-    let cfg = ExploreConfig {
-        preemption_bound: spec.preemption_bound,
-        ..ExploreConfig::default()
-    };
-    let scen = spec.scenario;
-    let stop = spec.stop_on_violation;
-    let mut clean = 0u64;
-    let mut violating = 0u64;
-    let mut first: Option<ExploreViolation> = None;
-    let stats = sim::explore(
-        &cfg,
-        spec.strategy.clone(),
-        move || run_wal_model(scen),
-        |outcome| {
-            let (details, digest) = match &outcome.result {
-                Ok(run) => (run.violations.clone(), history_digest(&run.history)),
-                Err(abort) => (vec![format!("schedule aborted: {abort:?}")], 0),
-            };
-            if details.is_empty() {
-                clean += 1;
-                ControlFlow::Continue(())
-            } else {
-                violating += 1;
-                if first.is_none() {
-                    first = Some(ExploreViolation {
-                        schedule_index: outcome.index,
-                        token: outcome.token.clone(),
-                        history_digest: digest,
-                        details,
-                    });
-                }
-                if stop {
-                    ControlFlow::Break(())
-                } else {
-                    ControlFlow::Continue(())
-                }
-            }
-        },
-    );
-    ExploreReport {
-        scenario: scen.name(),
-        broken: None,
-        stats,
-        clean_schedules: clean,
-        violating_schedules: violating,
-        first_violation: first,
+    fn name(self) -> &'static str {
+        WalScenario::name(self)
     }
-}
 
-/// The stable command line that reproduces a violation found by
-/// [`run_wal_explore`].
-pub fn repro_command(spec: &WalExploreSpec, token: &str) -> String {
-    format!(
-        "cargo run -p harness --features sim,crashpoint --bin explore -- --scenario {} --replay {token}",
-        spec.scenario.name()
-    )
+    fn run(self) -> ModelRun {
+        run_wal_model(self)
+    }
 }

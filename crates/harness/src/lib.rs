@@ -18,6 +18,45 @@
 //!   not measurable here: RAPL needs privileges, and CPU time is not
 //!   energy.
 
+/// Declares a fieldless enum whose variants carry stable CLI names, one
+/// `Variant => "name"` row each, and generates `all()` (declaration order),
+/// `name()` and a case-insensitive `parse()` for it.
+macro_rules! named_enum {
+    (
+        $(#[$meta:meta])*
+        $vis:vis enum $ty:ident {
+            $($(#[$vmeta:meta])* $variant:ident => $name:literal,)+
+        }
+    ) => {
+        $(#[$meta])*
+        #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+        $vis enum $ty {
+            $($(#[$vmeta])* $variant,)+
+        }
+
+        impl $ty {
+            /// Every value, in declaration order.
+            pub fn all() -> Vec<$ty> {
+                vec![$($ty::$variant),+]
+            }
+
+            /// Stable CLI / display name.
+            pub fn name(self) -> &'static str {
+                match self {
+                    $($ty::$variant => $name,)+
+                }
+            }
+
+            /// Parse a CLI name, ignoring ASCII case.
+            pub fn parse(s: &str) -> Option<$ty> {
+                Self::all()
+                    .into_iter()
+                    .find(|k| k.name().eq_ignore_ascii_case(s))
+            }
+        }
+    };
+}
+
 pub mod checker;
 pub mod cli;
 #[cfg(feature = "crashpoint")]
@@ -48,3 +87,47 @@ pub use registry::{run_workload, with_backend, BackendVisitor, RuntimeScale, Str
 pub use timevarying::{run_time_varying, Interval, TimeVaryingResult};
 pub use workload::{KeyDist, OpKind, WorkloadMix, WorkloadSpec};
 pub use zipf::Zipf;
+
+#[cfg(test)]
+mod tests {
+    use std::collections::HashSet;
+    use std::fmt::Debug;
+
+    /// `parse(name(x)) == x` for every value, upper-case input parses too,
+    /// names are unique, and an unknown name is rejected.
+    fn assert_names<T: Copy + Eq + Debug>(
+        all: Vec<T>,
+        name: fn(T) -> &'static str,
+        parse: fn(&str) -> Option<T>,
+    ) {
+        let mut seen = HashSet::new();
+        for x in all {
+            assert_eq!(parse(name(x)), Some(x));
+            assert_eq!(parse(&name(x).to_uppercase()), Some(x));
+            assert!(seen.insert(name(x)), "duplicate name {}", name(x));
+        }
+        assert_eq!(parse("no-such-name"), None);
+    }
+
+    #[test]
+    fn every_name_table_round_trips() {
+        use crate::registry::{StructKind, TmKind};
+        assert_names(TmKind::all(), TmKind::name, TmKind::parse);
+        assert_names(StructKind::all(), StructKind::name, StructKind::parse);
+        #[cfg(feature = "record")]
+        {
+            use crate::scenario::ScenarioKind;
+            assert_names(ScenarioKind::all(), ScenarioKind::name, ScenarioKind::parse);
+        }
+        #[cfg(feature = "sim")]
+        {
+            use crate::explore::{BrokenDemo, ExploreScenario};
+            assert_names(
+                ExploreScenario::all(),
+                ExploreScenario::name,
+                ExploreScenario::parse,
+            );
+            assert_names(BrokenDemo::all(), BrokenDemo::name, BrokenDemo::parse);
+        }
+    }
+}

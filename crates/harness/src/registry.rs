@@ -11,25 +11,26 @@ use std::sync::Arc;
 use tm_api::TmRuntime;
 use txstructs::{TxAbTree, TxAvlTree, TxExtBst, TxHashMap, TxList, TxSet};
 
-/// The TM algorithms the harness can run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TmKind {
-    /// Multiverse with dynamic mode switching (the paper's system).
-    Multiverse,
-    /// Multiverse restricted to Mode Q (Figure 8 ablation).
-    MultiverseModeQ,
-    /// Multiverse restricted to Mode U (Figure 8 ablation).
-    MultiverseModeU,
-    /// DCTL (deferred clock, encounter-time locking, irrevocable fallback).
-    Dctl,
-    /// TL2 (commit-time locking, buffered writes).
-    Tl2,
-    /// NOrec (global sequence lock, value validation).
-    Norec,
-    /// TinySTM-style (encounter-time locking, commit-time clock).
-    TinyStm,
-    /// Single global lock (test oracle; not part of the paper's evaluation).
-    Glock,
+named_enum! {
+    /// The TM algorithms the harness can run.
+    pub enum TmKind {
+        /// Multiverse with dynamic mode switching (the paper's system).
+        Multiverse => "multiverse",
+        /// Multiverse restricted to Mode Q (Figure 8 ablation).
+        MultiverseModeQ => "multiverse-modeq",
+        /// Multiverse restricted to Mode U (Figure 8 ablation).
+        MultiverseModeU => "multiverse-modeu",
+        /// DCTL (deferred clock, encounter-time locking, irrevocable fallback).
+        Dctl => "dctl",
+        /// TL2 (commit-time locking, buffered writes).
+        Tl2 => "tl2",
+        /// NOrec (global sequence lock, value validation).
+        Norec => "norec",
+        /// TinySTM-style (encounter-time locking, commit-time clock).
+        TinyStm => "tinystm",
+        /// Single global lock (test oracle; not part of the paper's evaluation).
+        Glock => "glock",
+    }
 }
 
 impl TmKind {
@@ -55,41 +56,6 @@ impl TmKind {
         ]
     }
 
-    /// Every TM the harness knows about.
-    pub fn all() -> Vec<TmKind> {
-        vec![
-            TmKind::Multiverse,
-            TmKind::MultiverseModeQ,
-            TmKind::MultiverseModeU,
-            TmKind::Dctl,
-            TmKind::Tl2,
-            TmKind::Norec,
-            TmKind::TinyStm,
-            TmKind::Glock,
-        ]
-    }
-
-    /// Display / CLI name.
-    pub fn name(self) -> &'static str {
-        match self {
-            TmKind::Multiverse => "multiverse",
-            TmKind::MultiverseModeQ => "multiverse-modeq",
-            TmKind::MultiverseModeU => "multiverse-modeu",
-            TmKind::Dctl => "dctl",
-            TmKind::Tl2 => "tl2",
-            TmKind::Norec => "norec",
-            TmKind::TinyStm => "tinystm",
-            TmKind::Glock => "glock",
-        }
-    }
-
-    /// Parse a CLI name.
-    pub fn parse(s: &str) -> Option<TmKind> {
-        Self::all()
-            .into_iter()
-            .find(|t| t.name() == s.to_lowercase())
-    }
-
     /// Apply the forced mode this kind implies (no-op for the dynamic TM
     /// and the non-Multiverse kinds). The single source of the
     /// kind → forced-mode mapping, shared by every dispatch path.
@@ -109,44 +75,19 @@ impl TmKind {
     }
 }
 
-/// The data structures of the evaluation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum StructKind {
-    /// (a,b)-tree with a=4, b=16 (main-paper figures).
-    AbTree,
-    /// Internal AVL tree (appendix).
-    Avl,
-    /// External BST (appendix).
-    ExtBst,
-    /// Hashmap with size queries (appendix).
-    HashMap,
-    /// Sorted linked list (§4.5 example).
-    List,
-}
-
-impl StructKind {
-    /// Display / CLI name.
-    pub fn name(self) -> &'static str {
-        match self {
-            StructKind::AbTree => "abtree",
-            StructKind::Avl => "avl",
-            StructKind::ExtBst => "extbst",
-            StructKind::HashMap => "hashmap",
-            StructKind::List => "list",
-        }
-    }
-
-    /// Parse a CLI name.
-    pub fn parse(s: &str) -> Option<StructKind> {
-        [
-            StructKind::AbTree,
-            StructKind::Avl,
-            StructKind::ExtBst,
-            StructKind::HashMap,
-            StructKind::List,
-        ]
-        .into_iter()
-        .find(|k| k.name() == s.to_lowercase())
+named_enum! {
+    /// The data structures of the evaluation.
+    pub enum StructKind {
+        /// (a,b)-tree with a=4, b=16 (main-paper figures).
+        AbTree => "abtree",
+        /// Internal AVL tree (appendix).
+        Avl => "avl",
+        /// External BST (appendix).
+        ExtBst => "extbst",
+        /// Hashmap with size queries (appendix).
+        HashMap => "hashmap",
+        /// Sorted linked list (§4.5 example).
+        List => "list",
     }
 }
 
@@ -217,17 +158,6 @@ pub fn with_backend<V: BackendVisitor>(tm: TmKind, scale: RuntimeScale, visitor:
     }
 }
 
-fn run_generic<R, S>(tm: Arc<R>, set: S, spec: &WorkloadSpec, trial: &TrialConfig) -> TrialResult
-where
-    R: TmRuntime,
-    S: TxSet,
-{
-    let set = Arc::new(set);
-    let result = run_trial(&tm, &set, spec, trial);
-    tm.shutdown();
-    result
-}
-
 struct TrialVisitor<'a, S: TxSet> {
     set: S,
     spec: &'a WorkloadSpec,
@@ -237,7 +167,9 @@ struct TrialVisitor<'a, S: TxSet> {
 impl<S: TxSet> BackendVisitor for TrialVisitor<'_, S> {
     type Out = TrialResult;
     fn visit<R: TmRuntime>(self, rt: Arc<R>) -> TrialResult {
-        run_generic(rt, self.set, self.spec, self.trial)
+        let result = run_trial(&rt, &Arc::new(self.set), self.spec, self.trial);
+        rt.shutdown();
+        result
     }
 }
 
@@ -271,24 +203,6 @@ pub fn run_workload(
     }
 }
 
-fn time_varying_generic<R, S>(
-    tm: Arc<R>,
-    set: S,
-    intervals: &[Interval],
-    threads: usize,
-    sample_ms: u64,
-    seed: u64,
-) -> TimeVaryingResult
-where
-    R: TmRuntime,
-    S: TxSet,
-{
-    let set = Arc::new(set);
-    let r = run_time_varying(&tm, &set, intervals, threads, sample_ms, seed);
-    tm.shutdown();
-    r
-}
-
 struct TimeVaryingVisitor<'a> {
     intervals: &'a [Interval],
     threads: usize,
@@ -299,14 +213,17 @@ struct TimeVaryingVisitor<'a> {
 impl BackendVisitor for TimeVaryingVisitor<'_> {
     type Out = TimeVaryingResult;
     fn visit<R: TmRuntime>(self, rt: Arc<R>) -> TimeVaryingResult {
-        time_varying_generic(
-            rt,
-            TxAbTree::new(),
+        let tree = Arc::new(TxAbTree::new());
+        let r = run_time_varying(
+            &rt,
+            &tree,
             self.intervals,
             self.threads,
             self.sample_ms,
             self.seed,
-        )
+        );
+        rt.shutdown();
+        r
     }
 }
 
@@ -342,18 +259,6 @@ pub fn run_time_varying_abtree(
 mod tests {
     use super::*;
     use crate::workload::{KeyDist, WorkloadMix};
-
-    #[test]
-    fn names_roundtrip() {
-        for tm in TmKind::all() {
-            assert_eq!(TmKind::parse(tm.name()), Some(tm));
-        }
-        for s in ["abtree", "avl", "extbst", "hashmap", "list"] {
-            assert_eq!(StructKind::parse(s).unwrap().name(), s);
-        }
-        assert_eq!(TmKind::parse("nope"), None);
-        assert_eq!(StructKind::parse("nope"), None);
-    }
 
     #[test]
     fn paper_set_has_five_tms_and_fig8_has_ablations() {
@@ -398,13 +303,7 @@ mod tests {
             seconds: 0.05,
             seed: 4,
         };
-        for st in [
-            StructKind::AbTree,
-            StructKind::Avl,
-            StructKind::ExtBst,
-            StructKind::HashMap,
-            StructKind::List,
-        ] {
+        for st in StructKind::all() {
             let r = run_workload(TmKind::Dctl, st, &spec, &trial);
             assert!(r.ops > 0, "{:?} performed no operations", st);
             assert_eq!(

@@ -60,57 +60,25 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use tm_api::abort::TxResult;
 use tm_api::{TVar, TmHandle, TmRuntime, Transaction, TxKind};
-use txstructs::{TxAbTree, TxAvlTree, TxExtBst, TxHashMap, TxList};
+use txstructs::{TxAbTree, TxAvlTree, TxExtBst, TxHashMap, TxList, TxSet};
 
-/// The scenario families.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ScenarioKind {
-    /// Contended counters: increments + consistent multi-counter reads.
-    Counter,
-    /// Zipfian mixed reads/updates over a medium array.
-    ZipfMix,
-    /// Read-dominated window scans with occasional updates.
-    ReadMostly,
-    /// Long full-array scans against bank-style transfers.
-    LongScan,
-    /// Write-heavy contention on a tiny hot set.
-    HotWrite,
-    /// All five paper structures (`TxList`, `TxAbTree`, `TxAvlTree`,
-    /// `TxExtBst`, `TxHashMap`) under insert/remove/contains/range churn
-    /// with in-transaction presence auditing (see the module docs).
-    StructChurn,
-}
-
-impl ScenarioKind {
-    /// All scenario families.
-    pub fn all() -> Vec<ScenarioKind> {
-        vec![
-            ScenarioKind::Counter,
-            ScenarioKind::ZipfMix,
-            ScenarioKind::ReadMostly,
-            ScenarioKind::LongScan,
-            ScenarioKind::HotWrite,
-            ScenarioKind::StructChurn,
-        ]
-    }
-
-    /// CLI / display name.
-    pub fn name(self) -> &'static str {
-        match self {
-            ScenarioKind::Counter => "counter",
-            ScenarioKind::ZipfMix => "zipf-mix",
-            ScenarioKind::ReadMostly => "read-mostly",
-            ScenarioKind::LongScan => "long-scan",
-            ScenarioKind::HotWrite => "hot-write",
-            ScenarioKind::StructChurn => "struct-churn",
-        }
-    }
-
-    /// Parse a CLI name.
-    pub fn parse(s: &str) -> Option<ScenarioKind> {
-        Self::all()
-            .into_iter()
-            .find(|k| k.name() == s.to_lowercase())
+named_enum! {
+    /// The scenario families.
+    pub enum ScenarioKind {
+        /// Contended counters: increments + consistent multi-counter reads.
+        Counter => "counter",
+        /// Zipfian mixed reads/updates over a medium array.
+        ZipfMix => "zipf-mix",
+        /// Read-dominated window scans with occasional updates.
+        ReadMostly => "read-mostly",
+        /// Long full-array scans against bank-style transfers.
+        LongScan => "long-scan",
+        /// Write-heavy contention on a tiny hot set.
+        HotWrite => "hot-write",
+        /// All five paper structures (`TxList`, `TxAbTree`, `TxAvlTree`,
+        /// `TxExtBst`, `TxHashMap`) under insert/remove/contains/range churn
+        /// with in-transaction presence auditing (see the module docs).
+        StructChurn => "struct-churn",
     }
 }
 
@@ -213,7 +181,9 @@ fn initial_value(kind: ScenarioKind, i: usize) -> u64 {
 // The per-thread schedules
 // ---------------------------------------------------------------------------
 
-fn thread_rng_for(seed: u64, thread: usize) -> StdRng {
+/// The seeded RNG of worker `thread`: every scenario family (and the crash
+/// sweep) derives its per-thread op stream from this.
+pub(crate) fn thread_rng_for(seed: u64, thread: usize) -> StdRng {
     StdRng::seed_from_u64(seed ^ (thread as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15))
 }
 
@@ -286,6 +256,28 @@ const STRUCT_NAMES: [&str; STRUCT_COUNT] = ["list", "abtree", "avl", "extbst", "
 /// collide and churn like the other structures' node chains.
 const STRUCT_CHURN_BUCKETS: usize = 8;
 
+/// One `struct-churn` structure operation.
+#[derive(Clone, Copy)]
+enum StructOp {
+    Insert(u64),
+    Remove(u64),
+    Contains(u64),
+    Range(u64, u64),
+}
+
+impl StructOp {
+    /// Run this operation on `set` within `tx`. The answer is a count: the
+    /// range query's, or 1/0 for the point operations' `true`/`false`.
+    fn apply<S: TxSet, X: Transaction>(self, set: &S, tx: &mut X) -> TxResult<usize> {
+        Ok(match self {
+            StructOp::Insert(key) => usize::from(set.insert_tx(tx, key, key)?),
+            StructOp::Remove(key) => usize::from(set.remove_tx(tx, key)?),
+            StructOp::Contains(key) => usize::from(set.contains_tx(tx, key)?),
+            StructOp::Range(lo, hi) => set.range_query_tx(tx, lo, hi)?,
+        })
+    }
+}
+
 /// The data structures (and key mapping) driven by [`ScenarioKind::StructChurn`]:
 /// all five of the paper's transactional structures.
 ///
@@ -321,53 +313,14 @@ impl StructChurnCtx {
         k as u64 + 1
     }
 
-    /// Insert `key` into structure `s` within transaction `tx`.
-    fn insert_tx<X: Transaction>(&self, s: usize, tx: &mut X, key: u64) -> TxResult<bool> {
+    /// Run `op` on structure `s` within transaction `tx`.
+    fn op_tx<X: Transaction>(&self, s: usize, tx: &mut X, op: StructOp) -> TxResult<usize> {
         match s {
-            0 => self.list.insert_tx(tx, key, key),
-            1 => self.tree.insert_tx(tx, key, key),
-            2 => self.avl.insert_tx(tx, key, key),
-            3 => self.bst.insert_tx(tx, key, key),
-            _ => self.map.insert_tx(tx, key, key),
-        }
-    }
-
-    /// Remove `key` from structure `s` within transaction `tx`.
-    fn remove_tx<X: Transaction>(&self, s: usize, tx: &mut X, key: u64) -> TxResult<bool> {
-        match s {
-            0 => self.list.remove_tx(tx, key),
-            1 => self.tree.remove_tx(tx, key),
-            2 => self.avl.remove_tx(tx, key),
-            3 => self.bst.remove_tx(tx, key),
-            _ => self.map.remove_tx(tx, key),
-        }
-    }
-
-    /// Whether `key` is in structure `s`, within transaction `tx`.
-    fn contains_tx<X: Transaction>(&self, s: usize, tx: &mut X, key: u64) -> TxResult<bool> {
-        match s {
-            0 => self.list.contains_tx(tx, key),
-            1 => self.tree.contains_tx(tx, key),
-            2 => self.avl.contains_tx(tx, key),
-            3 => self.bst.contains_tx(tx, key),
-            _ => self.map.contains_tx(tx, key),
-        }
-    }
-
-    /// Count structure `s`'s keys in `[lo, hi]`, within transaction `tx`.
-    fn range_query_tx<X: Transaction>(
-        &self,
-        s: usize,
-        tx: &mut X,
-        lo: u64,
-        hi: u64,
-    ) -> TxResult<usize> {
-        match s {
-            0 => self.list.range_query_tx(tx, lo, hi),
-            1 => self.tree.range_query_tx(tx, lo, hi),
-            2 => self.avl.range_query_tx(tx, lo, hi),
-            3 => self.bst.range_query_tx(tx, lo, hi),
-            _ => self.map.range_query_tx(tx, lo, hi),
+            0 => op.apply(&self.list, tx),
+            1 => op.apply(&self.tree, tx),
+            2 => op.apply(&self.avl, tx),
+            3 => op.apply(&self.bst, tx),
+            _ => op.apply(&self.map, tx),
         }
     }
 
@@ -377,7 +330,8 @@ impl StructChurnCtx {
         for s in 0..STRUCT_COUNT {
             for k in (0..self.keys).step_by(2) {
                 let key = Self::key_of(k);
-                assert!(h.txn(TxKind::ReadWrite, |tx| self.insert_tx(s, tx, key)));
+                let op = StructOp::Insert(key);
+                assert_eq!(h.txn(TxKind::ReadWrite, |tx| self.op_tx(s, tx, op)), 1);
             }
         }
     }
@@ -388,7 +342,8 @@ impl StructChurnCtx {
         for s in 0..STRUCT_COUNT {
             for k in 0..self.keys {
                 let key = Self::key_of(k);
-                let present = h.txn(TxKind::ReadOnly, |tx| self.contains_tx(s, tx, key));
+                let op = StructOp::Contains(key);
+                let present = h.txn(TxKind::ReadOnly, |tx| self.op_tx(s, tx, op)) == 1;
                 let tracked = payload(vars[s * self.keys + k].load_direct()) == 1;
                 if present != tracked {
                     audit.push(format!(
@@ -429,12 +384,13 @@ fn run_struct_churn_worker<R: TmRuntime>(
             0 | 1 => {
                 let insert = rng.gen_bool(0.5);
                 let var = &vars[base + k];
+                let toggle = if insert {
+                    StructOp::Insert(key)
+                } else {
+                    StructOp::Remove(key)
+                };
                 let (changed, before) = h.txn(TxKind::ReadWrite, |tx| {
-                    let changed = if insert {
-                        sc.insert_tx(s, tx, key)?
-                    } else {
-                        sc.remove_tx(s, tx, key)?
-                    };
+                    let changed = sc.op_tx(s, tx, toggle)? == 1;
                     let p = tx.read_var(var)?;
                     if changed {
                         tx.write_var(var, bump(p, u64::from(insert)))?;
@@ -457,7 +413,7 @@ fn run_struct_churn_worker<R: TmRuntime>(
             2 => {
                 let var = &vars[base + k];
                 let (found, p) = h.txn(TxKind::ReadOnly, |tx| {
-                    let found = sc.contains_tx(s, tx, key)?;
+                    let found = sc.op_tx(s, tx, StructOp::Contains(key))? == 1;
                     Ok((found, payload(tx.read_var(var)?)))
                 });
                 if found != (p == 1) {
@@ -473,12 +429,9 @@ fn run_struct_churn_worker<R: TmRuntime>(
                 let lo = rng.gen_range(0..kk);
                 let hi = rng.gen_range(lo..kk);
                 let (got, expect) = h.txn(TxKind::ReadOnly, |tx| {
-                    let got = sc.range_query_tx(
-                        s,
-                        tx,
-                        StructChurnCtx::key_of(lo),
-                        StructChurnCtx::key_of(hi),
-                    )?;
+                    let range =
+                        StructOp::Range(StructChurnCtx::key_of(lo), StructChurnCtx::key_of(hi));
+                    let got = sc.op_tx(s, tx, range)?;
                     let mut expect = 0usize;
                     for j in lo..=hi {
                         if payload(tx.read_var(&vars[base + j])?) == 1 {
@@ -766,14 +719,6 @@ pub fn run_and_check(tm: TmKind, spec: &ScenarioSpec) -> Report {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn scenario_names_roundtrip() {
-        for k in ScenarioKind::all() {
-            assert_eq!(ScenarioKind::parse(k.name()), Some(k));
-        }
-        assert_eq!(ScenarioKind::parse("nope"), None);
-    }
 
     #[test]
     fn value_encoding_bumps_sequence_and_keeps_payload() {

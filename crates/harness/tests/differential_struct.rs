@@ -17,8 +17,7 @@ use std::sync::Arc;
 
 use harness::registry::{with_backend, BackendVisitor, RuntimeScale, TmKind};
 use proptest::prelude::*;
-use tm_api::abort::TxResult;
-use tm_api::{TmHandle, TmRuntime, Transaction, TxKind};
+use tm_api::{TmHandle, TmRuntime, TxKind};
 use txstructs::{TxAbTree, TxAvlTree, TxExtBst, TxHashMap, TxList, TxSet};
 
 /// Key domain: small enough that inserts, removes and range endpoints
@@ -26,49 +25,9 @@ use txstructs::{TxAbTree, TxAvlTree, TxExtBst, TxHashMap, TxList, TxSet};
 /// structures' internal transitions (an (a,b)-tree root split needs 17).
 const KEYS: u64 = 24;
 
-/// Access to the transaction-composable operation variants, uniformly over
-/// the five structures (the inherent `*_tx` methods share a shape but no
-/// trait — same device as the exploration scenarios' `SimSet`).
-trait TxOps: TxSet {
-    fn insert_tx<X: Transaction>(&self, tx: &mut X, key: u64, val: u64) -> TxResult<bool>;
-    fn remove_tx<X: Transaction>(&self, tx: &mut X, key: u64) -> TxResult<bool>;
-    fn contains_tx<X: Transaction>(&self, tx: &mut X, key: u64) -> TxResult<bool>;
-    fn range_query_tx<X: Transaction>(&self, tx: &mut X, lo: u64, hi: u64) -> TxResult<usize>;
-}
-
-macro_rules! impl_tx_ops {
-    ($ty:ty) => {
-        impl TxOps for $ty {
-            fn insert_tx<X: Transaction>(&self, tx: &mut X, key: u64, val: u64) -> TxResult<bool> {
-                <$ty>::insert_tx(self, tx, key, val)
-            }
-            fn remove_tx<X: Transaction>(&self, tx: &mut X, key: u64) -> TxResult<bool> {
-                <$ty>::remove_tx(self, tx, key)
-            }
-            fn contains_tx<X: Transaction>(&self, tx: &mut X, key: u64) -> TxResult<bool> {
-                <$ty>::contains_tx(self, tx, key)
-            }
-            fn range_query_tx<X: Transaction>(
-                &self,
-                tx: &mut X,
-                lo: u64,
-                hi: u64,
-            ) -> TxResult<usize> {
-                <$ty>::range_query_tx(self, tx, lo, hi)
-            }
-        }
-    };
-}
-
-impl_tx_ops!(TxAbTree);
-impl_tx_ops!(TxAvlTree);
-impl_tx_ops!(TxExtBst);
-impl_tx_ops!(TxHashMap);
-impl_tx_ops!(TxList);
-
 /// Run one op sequence against `set`, checking every result against the
 /// oracle, then audit the final state key by key.
-fn drive<S: TxOps, H: TmHandle>(set: &S, h: &mut H, ops: &[(u8, u64, u64)], ctx: &str) {
+fn drive<S: TxSet, H: TmHandle>(set: &S, h: &mut H, ops: &[(u8, u64, u64)], ctx: &str) {
     let mut oracle: BTreeMap<u64, u64> = BTreeMap::new();
     for (i, &(kind, a, b)) in ops.iter().enumerate() {
         match kind {

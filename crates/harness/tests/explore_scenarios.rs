@@ -211,6 +211,38 @@ fn violations_replay_from_their_token_to_the_same_history() {
     assert_eq!(rv.details, v.details);
 }
 
+/// A token printed by an earlier build of the explorer (the first violating
+/// schedule of exhaustive bound-2 `traverse` under `traverse-le`) and the
+/// history digest it produced. The token format is stable: it must keep
+/// replaying to the same violating history.
+#[test]
+fn recorded_token_still_replays_to_its_history() {
+    const TOKEN: &str = "0102930100000000000000000000000000000000000000000000000000000000000000\
+                         0000000000000000000000000000000000000000000000000000000000000000000000\
+                         0000000000000000000000000000000001010101010101010101010101010101010101\
+                         0101010101010101010101010101010101010101010101010101010101010101010101\
+                         0101010101010101010102";
+    const DIGEST: u64 = 0xe1c2_46bf_f713_a3f0;
+    let replay = run_explore(&ExploreSpec {
+        scenario: ExploreScenario::Traverse,
+        strategy: Strategy::Replay {
+            token: TOKEN.to_string(),
+        },
+        preemption_bound: BOUND,
+        broken: Some(BrokenDemo::TraverseLe),
+        stop_on_violation: true,
+    });
+    assert_eq!(replay.stats.schedules, 1);
+    let v = replay
+        .first_violation
+        .expect("the recorded token must still reproduce its violation");
+    assert_eq!(v.token, TOKEN);
+    assert_eq!(
+        v.history_digest, DIGEST,
+        "replay diverged from the recorded history"
+    );
+}
+
 #[test]
 fn sampled_exploration_is_clean_and_seed_deterministic() {
     let spec = ExploreSpec {

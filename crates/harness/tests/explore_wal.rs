@@ -10,9 +10,10 @@
 //!
 //! Smoke scale is preemption bound 1 (~100 schedules, ~2 s per scenario in
 //! a debug build). The bound-2 space (~1700 schedules per scenario) runs in
-//! CI's long-checks sweep through the `explore` binary.
+//! CI's long-checks sweep through `harness explore`.
 
-use harness::explore_wal::{run_wal_explore, WalExploreSpec, WalScenario};
+use harness::explore::{run_explore, ExploreSpec};
+use harness::explore_wal::WalScenario;
 use wal::crashpoint::Site;
 
 /// Smoke bound: every group-commit/checkpoint/commit-tap ordering with one
@@ -38,7 +39,7 @@ const PINS: &[(WalScenario, u64)] = &[
 #[test]
 fn every_schedule_of_every_crash_site_recovers_clean() {
     for &(scenario, pinned) in PINS {
-        let report = run_wal_explore(&WalExploreSpec::exhaustive(scenario, BOUND));
+        let report = run_explore(&ExploreSpec::exhaustive(scenario, BOUND));
         assert!(
             report.stats.complete,
             "{} did not drain its schedule space (schedules={})",
@@ -60,9 +61,9 @@ fn every_schedule_of_every_crash_site_recovers_clean() {
 
 #[test]
 fn wal_exploration_is_run_to_run_deterministic() {
-    let spec = WalExploreSpec::exhaustive(WalScenario::Crash(Site::CheckpointWrite), BOUND);
-    let a = run_wal_explore(&spec);
-    let b = run_wal_explore(&spec);
+    let spec = ExploreSpec::exhaustive(WalScenario::Crash(Site::CheckpointWrite), BOUND);
+    let a = run_explore(&spec);
+    let b = run_explore(&spec);
     assert_eq!(a.stats.schedules, b.stats.schedules);
     assert_eq!(a.clean_schedules, b.clean_schedules);
     assert_eq!(a.stats.sleep_skips, b.stats.sleep_skips);

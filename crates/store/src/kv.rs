@@ -25,7 +25,7 @@
 
 use std::sync::Mutex;
 use tm_api::{TVar, TmHandle, Transaction, TxKind, TxResult};
-use txstructs::{TxAbTree, TxAvlTree, TxExtBst, TxHashMap, TxList};
+use txstructs::{TxAbTree, TxAvlTree, TxExtBst, TxHashMap, TxList, TxSet};
 
 /// Maximum operations per request (also enforced by the protocol decoder).
 pub const MAX_OPS_PER_REQUEST: usize = 4096;

@@ -14,7 +14,7 @@
 use crate::node::{alloc_node, deref, free_node_eager, retire_node, TxNodeInit, NULL};
 use crate::TxSet;
 use std::array;
-use tm_api::{TVar, TmHandle, Transaction, TxKind, TxResult};
+use tm_api::{TVar, Transaction, TxResult};
 
 /// Maximum number of keys per node (the paper's `b`).
 pub const MAX_KEYS: usize = 16;
@@ -187,16 +187,14 @@ impl TxAbTree {
         tx.write_var(&parent.count, (pcount + 1) as u64)?;
         Ok(())
     }
+}
 
-    // -- transaction-composable operations ---------------------------------
-    //
-    // The `*_tx` variants run inside a caller-supplied transaction, so a
-    // tree operation can be combined with other transactional reads and
-    // writes in one atomic step (the checker harness pairs them with audit
-    // variables). The `TxSet` methods below are one-op wrappers over these.
+impl TxSet for TxAbTree {
+    fn name(&self) -> &'static str {
+        "abtree"
+    }
 
-    /// Insert `key -> val` within transaction `tx`; `Ok(false)` if present.
-    pub fn insert_tx<X: Transaction>(&self, tx: &mut X, key: u64, val: u64) -> TxResult<bool> {
+    fn insert_tx<X: Transaction>(&self, tx: &mut X, key: u64, val: u64) -> TxResult<bool> {
         let mut root_word = tx.read_var(&self.root)?;
         if root_word == NULL {
             let leaf_word = alloc_node::<AbNode, _>(tx, AbNodeInit { is_leaf: true })?;
@@ -263,8 +261,7 @@ impl TxAbTree {
         Ok(true)
     }
 
-    /// Remove `key` within transaction `tx`; `Ok(false)` if absent.
-    pub fn remove_tx<X: Transaction>(&self, tx: &mut X, key: u64) -> TxResult<bool> {
+    fn remove_tx<X: Transaction>(&self, tx: &mut X, key: u64) -> TxResult<bool> {
         let root_word = tx.read_var(&self.root)?;
         if root_word == NULL {
             return Ok(false);
@@ -306,8 +303,7 @@ impl TxAbTree {
         Ok(true)
     }
 
-    /// Whether `key` is present, within transaction `tx`.
-    pub fn contains_tx<X: Transaction>(&self, tx: &mut X, key: u64) -> TxResult<bool> {
+    fn contains_tx<X: Transaction>(&self, tx: &mut X, key: u64) -> TxResult<bool> {
         let mut cur_word = tx.read_var(&self.root)?;
         if cur_word == NULL {
             return Ok(false);
@@ -328,8 +324,7 @@ impl TxAbTree {
         }
     }
 
-    /// Look up `key` within transaction `tx`, returning its value.
-    pub fn get_tx<X: Transaction>(&self, tx: &mut X, key: u64) -> TxResult<Option<u64>> {
+    fn get_tx<X: Transaction>(&self, tx: &mut X, key: u64) -> TxResult<Option<u64>> {
         let mut cur_word = tx.read_var(&self.root)?;
         if cur_word == NULL {
             return Ok(None);
@@ -350,9 +345,7 @@ impl TxAbTree {
         }
     }
 
-    /// Visit every `(key, value)` pair with `lo <= key <= hi` within
-    /// transaction `tx` (visit order unspecified); returns the pair count.
-    pub fn scan_tx<X: Transaction, F: FnMut(u64, u64)>(
+    fn scan_tx<X: Transaction, F: FnMut(u64, u64)>(
         &self,
         tx: &mut X,
         lo: u64,
@@ -393,8 +386,7 @@ impl TxAbTree {
         Ok(count)
     }
 
-    /// Count the keys in `[lo, hi]`, within transaction `tx`.
-    pub fn range_query_tx<X: Transaction>(&self, tx: &mut X, lo: u64, hi: u64) -> TxResult<usize> {
+    fn range_query_tx<X: Transaction>(&self, tx: &mut X, lo: u64, hi: u64) -> TxResult<usize> {
         let root = tx.read_var(&self.root)?;
         if root == NULL {
             return Ok(0);
@@ -426,32 +418,6 @@ impl TxAbTree {
             }
         }
         Ok(count)
-    }
-}
-
-impl TxSet for TxAbTree {
-    fn name(&self) -> &'static str {
-        "abtree"
-    }
-
-    fn insert<H: TmHandle>(&self, h: &mut H, key: u64, val: u64) -> bool {
-        h.txn(TxKind::ReadWrite, |tx| self.insert_tx(tx, key, val))
-    }
-
-    fn remove<H: TmHandle>(&self, h: &mut H, key: u64) -> bool {
-        h.txn(TxKind::ReadWrite, |tx| self.remove_tx(tx, key))
-    }
-
-    fn contains<H: TmHandle>(&self, h: &mut H, key: u64) -> bool {
-        h.txn(TxKind::ReadOnly, |tx| self.contains_tx(tx, key))
-    }
-
-    fn range_query<H: TmHandle>(&self, h: &mut H, lo: u64, hi: u64) -> usize {
-        h.txn(TxKind::ReadOnly, |tx| self.range_query_tx(tx, lo, hi))
-    }
-
-    fn size_query<H: TmHandle>(&self, h: &mut H) -> usize {
-        self.range_query(h, 0, u64::MAX)
     }
 }
 

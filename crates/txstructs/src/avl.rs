@@ -267,16 +267,14 @@ impl TxAvlTree {
             height_of(tx, root)
         })
     }
+}
 
-    // -- transaction-composable operations ---------------------------------
-    //
-    // The `*_tx` variants run inside a caller-supplied transaction, so a
-    // tree operation can be combined with other transactional reads and
-    // writes in one atomic step (the checker harness pairs them with audit
-    // variables). The `TxSet` methods below are one-op wrappers over these.
+impl TxSet for TxAvlTree {
+    fn name(&self) -> &'static str {
+        "avl-tree"
+    }
 
-    /// Insert `key -> val` within transaction `tx`; `Ok(false)` if present.
-    pub fn insert_tx<X: Transaction>(&self, tx: &mut X, key: u64, val: u64) -> TxResult<bool> {
+    fn insert_tx<X: Transaction>(&self, tx: &mut X, key: u64, val: u64) -> TxResult<bool> {
         let root = tx.read_var(&self.root)?;
         let (new_root, inserted) = insert_rec(tx, root, key, val)?;
         if inserted && new_root != root {
@@ -285,8 +283,7 @@ impl TxAvlTree {
         Ok(inserted)
     }
 
-    /// Remove `key` within transaction `tx`; `Ok(false)` if absent.
-    pub fn remove_tx<X: Transaction>(&self, tx: &mut X, key: u64) -> TxResult<bool> {
+    fn remove_tx<X: Transaction>(&self, tx: &mut X, key: u64) -> TxResult<bool> {
         let root = tx.read_var(&self.root)?;
         let (new_root, removed) = remove_rec(tx, root, key)?;
         if removed && new_root != root {
@@ -295,8 +292,7 @@ impl TxAvlTree {
         Ok(removed)
     }
 
-    /// Whether `key` is present, within transaction `tx`.
-    pub fn contains_tx<X: Transaction>(&self, tx: &mut X, key: u64) -> TxResult<bool> {
+    fn contains_tx<X: Transaction>(&self, tx: &mut X, key: u64) -> TxResult<bool> {
         let mut cur = tx.read_var(&self.root)?;
         while cur != NULL {
             let node = unsafe { deref::<AvlNode>(cur) };
@@ -313,8 +309,7 @@ impl TxAvlTree {
         Ok(false)
     }
 
-    /// Look up `key` within transaction `tx`, returning its value.
-    pub fn get_tx<X: Transaction>(&self, tx: &mut X, key: u64) -> TxResult<Option<u64>> {
+    fn get_tx<X: Transaction>(&self, tx: &mut X, key: u64) -> TxResult<Option<u64>> {
         let mut cur = tx.read_var(&self.root)?;
         while cur != NULL {
             let node = unsafe { deref::<AvlNode>(cur) };
@@ -331,9 +326,7 @@ impl TxAvlTree {
         Ok(None)
     }
 
-    /// Visit every `(key, value)` pair with `lo <= key <= hi` within
-    /// transaction `tx` (visit order unspecified); returns the pair count.
-    pub fn scan_tx<X: Transaction, F: FnMut(u64, u64)>(
+    fn scan_tx<X: Transaction, F: FnMut(u64, u64)>(
         &self,
         tx: &mut X,
         lo: u64,
@@ -365,8 +358,7 @@ impl TxAvlTree {
         Ok(count)
     }
 
-    /// Count the keys in `[lo, hi]`, within transaction `tx`.
-    pub fn range_query_tx<X: Transaction>(&self, tx: &mut X, lo: u64, hi: u64) -> TxResult<usize> {
+    fn range_query_tx<X: Transaction>(&self, tx: &mut X, lo: u64, hi: u64) -> TxResult<usize> {
         let mut count = 0usize;
         let root = tx.read_var(&self.root)?;
         if root == NULL {
@@ -389,28 +381,6 @@ impl TxAvlTree {
             }
         }
         Ok(count)
-    }
-}
-
-impl TxSet for TxAvlTree {
-    fn name(&self) -> &'static str {
-        "avl-tree"
-    }
-
-    fn insert<H: TmHandle>(&self, h: &mut H, key: u64, val: u64) -> bool {
-        h.txn(TxKind::ReadWrite, |tx| self.insert_tx(tx, key, val))
-    }
-
-    fn remove<H: TmHandle>(&self, h: &mut H, key: u64) -> bool {
-        h.txn(TxKind::ReadWrite, |tx| self.remove_tx(tx, key))
-    }
-
-    fn contains<H: TmHandle>(&self, h: &mut H, key: u64) -> bool {
-        h.txn(TxKind::ReadOnly, |tx| self.contains_tx(tx, key))
-    }
-
-    fn range_query<H: TmHandle>(&self, h: &mut H, lo: u64, hi: u64) -> usize {
-        h.txn(TxKind::ReadOnly, |tx| self.range_query_tx(tx, lo, hi))
     }
 
     fn size_query<H: TmHandle>(&self, h: &mut H) -> usize {

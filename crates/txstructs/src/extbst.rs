@@ -8,7 +8,7 @@
 
 use crate::node::{alloc_node, deref, free_node_eager, retire_node, TxNodeInit, NULL};
 use crate::TxSet;
-use tm_api::{TVar, TmHandle, Transaction, TxKind, TxResult};
+use tm_api::{TVar, Transaction, TxResult};
 
 /// A node of the external BST. A node is a leaf iff its `left` child is
 /// [`NULL`] (external BST internal nodes always have two children).
@@ -102,16 +102,14 @@ impl TxExtBst {
         let node = unsafe { deref::<BstNode>(word) };
         Ok(tx.read_var(&node.left)? == NULL)
     }
+}
 
-    // -- transaction-composable operations ---------------------------------
-    //
-    // The `*_tx` variants run inside a caller-supplied transaction, so a
-    // tree operation can be combined with other transactional reads and
-    // writes in one atomic step (the checker harness pairs them with audit
-    // variables). The `TxSet` methods below are one-op wrappers over these.
+impl TxSet for TxExtBst {
+    fn name(&self) -> &'static str {
+        "external-bst"
+    }
 
-    /// Insert `key -> val` within transaction `tx`; `Ok(false)` if present.
-    pub fn insert_tx<X: Transaction>(&self, tx: &mut X, key: u64, val: u64) -> TxResult<bool> {
+    fn insert_tx<X: Transaction>(&self, tx: &mut X, key: u64, val: u64) -> TxResult<bool> {
         let root = tx.read_var(&self.root)?;
         if root == NULL {
             let leaf = alloc_node::<BstNode, _>(tx, BstNodeInit::leaf(key, val))?;
@@ -148,8 +146,7 @@ impl TxExtBst {
         Ok(true)
     }
 
-    /// Remove `key` within transaction `tx`; `Ok(false)` if absent.
-    pub fn remove_tx<X: Transaction>(&self, tx: &mut X, key: u64) -> TxResult<bool> {
+    fn remove_tx<X: Transaction>(&self, tx: &mut X, key: u64) -> TxResult<bool> {
         let root = tx.read_var(&self.root)?;
         if root == NULL {
             return Ok(false);
@@ -192,8 +189,7 @@ impl TxExtBst {
         }
     }
 
-    /// Whether `key` is present, within transaction `tx`.
-    pub fn contains_tx<X: Transaction>(&self, tx: &mut X, key: u64) -> TxResult<bool> {
+    fn contains_tx<X: Transaction>(&self, tx: &mut X, key: u64) -> TxResult<bool> {
         let mut cur = tx.read_var(&self.root)?;
         if cur == NULL {
             return Ok(false);
@@ -211,8 +207,7 @@ impl TxExtBst {
         Ok(tx.read_var(&leaf.key)? == key)
     }
 
-    /// Look up `key` within transaction `tx`, returning its value.
-    pub fn get_tx<X: Transaction>(&self, tx: &mut X, key: u64) -> TxResult<Option<u64>> {
+    fn get_tx<X: Transaction>(&self, tx: &mut X, key: u64) -> TxResult<Option<u64>> {
         let mut cur = tx.read_var(&self.root)?;
         if cur == NULL {
             return Ok(None);
@@ -234,9 +229,7 @@ impl TxExtBst {
         }
     }
 
-    /// Visit every `(key, value)` pair with `lo <= key <= hi` within
-    /// transaction `tx` (visit order unspecified); returns the pair count.
-    pub fn scan_tx<X: Transaction, F: FnMut(u64, u64)>(
+    fn scan_tx<X: Transaction, F: FnMut(u64, u64)>(
         &self,
         tx: &mut X,
         lo: u64,
@@ -272,8 +265,7 @@ impl TxExtBst {
         Ok(count)
     }
 
-    /// Count the keys in `[lo, hi]`, within transaction `tx`.
-    pub fn range_query_tx<X: Transaction>(&self, tx: &mut X, lo: u64, hi: u64) -> TxResult<usize> {
+    fn range_query_tx<X: Transaction>(&self, tx: &mut X, lo: u64, hi: u64) -> TxResult<usize> {
         let mut count = 0usize;
         let root = tx.read_var(&self.root)?;
         if root == NULL {
@@ -300,32 +292,6 @@ impl TxExtBst {
             }
         }
         Ok(count)
-    }
-}
-
-impl TxSet for TxExtBst {
-    fn name(&self) -> &'static str {
-        "external-bst"
-    }
-
-    fn insert<H: TmHandle>(&self, h: &mut H, key: u64, val: u64) -> bool {
-        h.txn(TxKind::ReadWrite, |tx| self.insert_tx(tx, key, val))
-    }
-
-    fn remove<H: TmHandle>(&self, h: &mut H, key: u64) -> bool {
-        h.txn(TxKind::ReadWrite, |tx| self.remove_tx(tx, key))
-    }
-
-    fn contains<H: TmHandle>(&self, h: &mut H, key: u64) -> bool {
-        h.txn(TxKind::ReadOnly, |tx| self.contains_tx(tx, key))
-    }
-
-    fn range_query<H: TmHandle>(&self, h: &mut H, lo: u64, hi: u64) -> usize {
-        h.txn(TxKind::ReadOnly, |tx| self.range_query_tx(tx, lo, hi))
-    }
-
-    fn size_query<H: TmHandle>(&self, h: &mut H) -> usize {
-        self.range_query(h, 0, u64::MAX)
     }
 }
 

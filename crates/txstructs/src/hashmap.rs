@@ -104,14 +104,14 @@ impl TxHashMap {
         }
         Ok((prev, NULL))
     }
+}
 
-    /// Transactional point lookup returning the value.
-    pub fn get<H: TmHandle>(&self, h: &mut H, key: u64) -> Option<u64> {
-        h.txn(TxKind::ReadOnly, |tx| self.get_tx(tx, key))
+impl TxSet for TxHashMap {
+    fn name(&self) -> &'static str {
+        "hashmap"
     }
 
-    /// Look up `key` within transaction `tx`, returning its value.
-    pub fn get_tx<X: Transaction>(&self, tx: &mut X, key: u64) -> TxResult<Option<u64>> {
+    fn get_tx<X: Transaction>(&self, tx: &mut X, key: u64) -> TxResult<Option<u64>> {
         let bucket = self.bucket_of(key);
         let (_, cur) = self.locate(tx, bucket, key)?;
         if cur == NULL {
@@ -121,10 +121,8 @@ impl TxHashMap {
         Ok(Some(tx.read_var(&node.val)?))
     }
 
-    /// Visit every `(key, value)` pair with `lo <= key <= hi` within
-    /// transaction `tx` (a full scan; visit order unspecified); returns the
-    /// pair count.
-    pub fn scan_tx<X: Transaction, F: FnMut(u64, u64)>(
+    /// A full scan: the hash is not order-preserving.
+    fn scan_tx<X: Transaction, F: FnMut(u64, u64)>(
         &self,
         tx: &mut X,
         lo: u64,
@@ -147,15 +145,7 @@ impl TxHashMap {
         Ok(count)
     }
 
-    // -- transaction-composable operations ---------------------------------
-    //
-    // The `*_tx` variants run inside a caller-supplied transaction, so a
-    // map operation can be combined with other transactional reads and
-    // writes in one atomic step (the checker harness pairs them with audit
-    // variables). The `TxSet` methods below are one-op wrappers over these.
-
-    /// Insert `key -> val` within transaction `tx`; `Ok(false)` if present.
-    pub fn insert_tx<X: Transaction>(&self, tx: &mut X, key: u64, val: u64) -> TxResult<bool> {
+    fn insert_tx<X: Transaction>(&self, tx: &mut X, key: u64, val: u64) -> TxResult<bool> {
         let bucket = self.bucket_of(key);
         let (_, found) = self.locate(tx, bucket, key)?;
         if found != NULL {
@@ -177,8 +167,7 @@ impl TxHashMap {
         Ok(true)
     }
 
-    /// Remove `key` within transaction `tx`; `Ok(false)` if absent.
-    pub fn remove_tx<X: Transaction>(&self, tx: &mut X, key: u64) -> TxResult<bool> {
+    fn remove_tx<X: Transaction>(&self, tx: &mut X, key: u64) -> TxResult<bool> {
         let bucket = self.bucket_of(key);
         let (prev, cur) = self.locate(tx, bucket, key)?;
         if cur == NULL {
@@ -196,16 +185,17 @@ impl TxHashMap {
         Ok(true)
     }
 
-    /// Whether `key` is present, within transaction `tx`.
-    pub fn contains_tx<X: Transaction>(&self, tx: &mut X, key: u64) -> TxResult<bool> {
+    fn contains_tx<X: Transaction>(&self, tx: &mut X, key: u64) -> TxResult<bool> {
         let bucket = self.bucket_of(key);
         let (_, cur) = self.locate(tx, bucket, key)?;
         Ok(cur != NULL)
     }
 
-    /// Count the keys in `[lo, hi]` with a full scan, within transaction
-    /// `tx` (see [`TxSet::range_query`] on this type for why a scan).
-    pub fn range_query_tx<X: Transaction>(&self, tx: &mut X, lo: u64, hi: u64) -> TxResult<usize> {
+    /// Range queries are not meaningful without an order-preserving hash
+    /// (paper, Appendix A); this counts the keys in `[lo, hi]` with a full
+    /// scan, which has the same "one huge read-only transaction" footprint as
+    /// the size query the paper substitutes.
+    fn range_query_tx<X: Transaction>(&self, tx: &mut X, lo: u64, hi: u64) -> TxResult<usize> {
         let mut count = 0usize;
         for bucket in self.buckets.iter() {
             let mut cur = tx.read_var(bucket)?;
@@ -219,32 +209,6 @@ impl TxHashMap {
             }
         }
         Ok(count)
-    }
-}
-
-impl TxSet for TxHashMap {
-    fn name(&self) -> &'static str {
-        "hashmap"
-    }
-
-    fn insert<H: TmHandle>(&self, h: &mut H, key: u64, val: u64) -> bool {
-        h.txn(TxKind::ReadWrite, |tx| self.insert_tx(tx, key, val))
-    }
-
-    fn remove<H: TmHandle>(&self, h: &mut H, key: u64) -> bool {
-        h.txn(TxKind::ReadWrite, |tx| self.remove_tx(tx, key))
-    }
-
-    fn contains<H: TmHandle>(&self, h: &mut H, key: u64) -> bool {
-        h.txn(TxKind::ReadOnly, |tx| self.contains_tx(tx, key))
-    }
-
-    /// Range queries are not meaningful without an order-preserving hash
-    /// (paper, Appendix A); this counts the keys in `[lo, hi]` with a full
-    /// scan, which has the same "one huge read-only transaction" footprint as
-    /// the size query the paper substitutes.
-    fn range_query<H: TmHandle>(&self, h: &mut H, lo: u64, hi: u64) -> usize {
-        h.txn(TxKind::ReadOnly, |tx| self.range_query_tx(tx, lo, hi))
     }
 
     fn size_query<H: TmHandle>(&self, h: &mut H) -> usize {

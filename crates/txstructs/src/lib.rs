@@ -15,9 +15,10 @@
 //! * [`list::TxList`] — a sorted singly linked list, used by the §4.5
 //!   memory-reclamation-race reproduction and as the simplest example.
 //!
-//! All structures implement the [`TxSet`] interface the benchmark harness
-//! drives: insert / remove / contains (point operations) plus a range query
-//! and a size query (the long read-only operations).
+//! [`TxSet`] is the one interface every structure implements and every
+//! caller drives: transaction-composable `*_tx` operations plus
+//! one-transaction wrappers over them (point operations, range and size
+//! queries).
 //!
 //! Nodes store every mutable field in a [`tm_api::TVar`], keep the memory
 //! layout of the equivalent non-transactional node, and live in the
@@ -44,31 +45,75 @@ pub use extbst::TxExtBst;
 pub use hashmap::TxHashMap;
 pub use list::TxList;
 
-use tm_api::TmHandle;
+use tm_api::{TmHandle, Transaction, TxKind, TxResult};
 
-/// The set interface the benchmark harness drives (paper §5).
+/// The set interface of the paper's structures (§5, Appendix A).
 ///
-/// Keys and values are `u64`. Point operations return whether they changed /
-/// found anything; the two long-running operations return the number of keys
-/// they observed.
+/// Keys and values are `u64`. The `*_tx` operations run inside a
+/// caller-supplied transaction, so a structure operation can share one
+/// atomic step with other transactional reads and writes (the checker
+/// harness pairs them with audit variables, the store composes them into
+/// multi-op batches). The remaining methods are one-operation transactions
+/// over them: point operations return whether they changed / found
+/// anything, the two long-running operations the number of keys observed.
 pub trait TxSet: Send + Sync + 'static {
     /// Human-readable structure name used in benchmark output.
     fn name(&self) -> &'static str;
 
+    /// Insert `key -> val` within `tx`; `Ok(false)` if already present.
+    fn insert_tx<X: Transaction>(&self, tx: &mut X, key: u64, val: u64) -> TxResult<bool>;
+
+    /// Remove `key` within `tx`; `Ok(false)` if absent.
+    fn remove_tx<X: Transaction>(&self, tx: &mut X, key: u64) -> TxResult<bool>;
+
+    /// Whether `key` is present, within `tx`.
+    fn contains_tx<X: Transaction>(&self, tx: &mut X, key: u64) -> TxResult<bool>;
+
+    /// The value stored under `key`, within `tx`.
+    fn get_tx<X: Transaction>(&self, tx: &mut X, key: u64) -> TxResult<Option<u64>>;
+
+    /// Visit every `(key, value)` pair with `lo <= key <= hi` within `tx`
+    /// (visit order is structure-specific); returns the pair count.
+    fn scan_tx<X: Transaction, F: FnMut(u64, u64)>(
+        &self,
+        tx: &mut X,
+        lo: u64,
+        hi: u64,
+        visit: &mut F,
+    ) -> TxResult<usize>;
+
+    /// Count the keys in `[lo, hi]` within `tx`.
+    fn range_query_tx<X: Transaction>(&self, tx: &mut X, lo: u64, hi: u64) -> TxResult<usize>;
+
     /// Insert `key -> val`; returns `false` if the key was already present.
-    fn insert<H: TmHandle>(&self, h: &mut H, key: u64, val: u64) -> bool;
+    fn insert<H: TmHandle>(&self, h: &mut H, key: u64, val: u64) -> bool {
+        h.txn(TxKind::ReadWrite, |tx| self.insert_tx(tx, key, val))
+    }
 
     /// Remove `key`; returns `false` if the key was absent.
-    fn remove<H: TmHandle>(&self, h: &mut H, key: u64) -> bool;
+    fn remove<H: TmHandle>(&self, h: &mut H, key: u64) -> bool {
+        h.txn(TxKind::ReadWrite, |tx| self.remove_tx(tx, key))
+    }
 
     /// Whether `key` is present.
-    fn contains<H: TmHandle>(&self, h: &mut H, key: u64) -> bool;
+    fn contains<H: TmHandle>(&self, h: &mut H, key: u64) -> bool {
+        h.txn(TxKind::ReadOnly, |tx| self.contains_tx(tx, key))
+    }
+
+    /// The value stored under `key`.
+    fn get<H: TmHandle>(&self, h: &mut H, key: u64) -> Option<u64> {
+        h.txn(TxKind::ReadOnly, |tx| self.get_tx(tx, key))
+    }
 
     /// Count the keys in `[lo, hi]` in one atomic read-only transaction.
-    fn range_query<H: TmHandle>(&self, h: &mut H, lo: u64, hi: u64) -> usize;
+    fn range_query<H: TmHandle>(&self, h: &mut H, lo: u64, hi: u64) -> usize {
+        h.txn(TxKind::ReadOnly, |tx| self.range_query_tx(tx, lo, hi))
+    }
 
     /// Count every key in the structure in one atomic read-only transaction.
-    fn size_query<H: TmHandle>(&self, h: &mut H) -> usize;
+    fn size_query<H: TmHandle>(&self, h: &mut H) -> usize {
+        self.range_query(h, 0, u64::MAX)
+    }
 }
 
 #[cfg(test)]

@@ -97,14 +97,14 @@ impl TxList {
         }
         Ok((prev, cur))
     }
+}
 
-    /// Read the value for `key`, if present (transactional point lookup).
-    pub fn get<H: TmHandle>(&self, h: &mut H, key: u64) -> Option<u64> {
-        h.txn(TxKind::ReadOnly, |tx| self.get_tx(tx, key))
+impl TxSet for TxList {
+    fn name(&self) -> &'static str {
+        "linked-list"
     }
 
-    /// Look up `key` within transaction `tx`, returning its value.
-    pub fn get_tx<X: Transaction>(&self, tx: &mut X, key: u64) -> TxResult<Option<u64>> {
+    fn get_tx<X: Transaction>(&self, tx: &mut X, key: u64) -> TxResult<Option<u64>> {
         let (_, cur) = self.locate(tx, key)?;
         if cur == NULL {
             return Ok(None);
@@ -117,9 +117,8 @@ impl TxList {
         }
     }
 
-    /// Visit every `(key, value)` pair with `lo <= key <= hi` within
-    /// transaction `tx` (key-ascending order); returns the pair count.
-    pub fn scan_tx<X: Transaction, F: FnMut(u64, u64)>(
+    /// Visits in key-ascending order.
+    fn scan_tx<X: Transaction, F: FnMut(u64, u64)>(
         &self,
         tx: &mut X,
         lo: u64,
@@ -143,15 +142,7 @@ impl TxList {
         Ok(count)
     }
 
-    // -- transaction-composable operations ---------------------------------
-    //
-    // The `*_tx` variants run inside a caller-supplied transaction, so a
-    // structure operation can be combined with other transactional reads and
-    // writes in one atomic step (the checker harness pairs them with audit
-    // variables). The `TxSet` methods below are one-op wrappers over these.
-
-    /// Insert `key -> val` within transaction `tx`; `Ok(false)` if present.
-    pub fn insert_tx<X: Transaction>(&self, tx: &mut X, key: u64, val: u64) -> TxResult<bool> {
+    fn insert_tx<X: Transaction>(&self, tx: &mut X, key: u64, val: u64) -> TxResult<bool> {
         let (prev, cur) = self.locate(tx, key)?;
         if cur != NULL {
             let node = unsafe { deref::<ListNode>(cur) };
@@ -175,8 +166,7 @@ impl TxList {
         Ok(true)
     }
 
-    /// Remove `key` within transaction `tx`; `Ok(false)` if absent.
-    pub fn remove_tx<X: Transaction>(&self, tx: &mut X, key: u64) -> TxResult<bool> {
+    fn remove_tx<X: Transaction>(&self, tx: &mut X, key: u64) -> TxResult<bool> {
         let (prev, cur) = self.locate(tx, key)?;
         if cur == NULL {
             return Ok(false);
@@ -192,8 +182,7 @@ impl TxList {
         Ok(true)
     }
 
-    /// Whether `key` is present, within transaction `tx`.
-    pub fn contains_tx<X: Transaction>(&self, tx: &mut X, key: u64) -> TxResult<bool> {
+    fn contains_tx<X: Transaction>(&self, tx: &mut X, key: u64) -> TxResult<bool> {
         let (_, cur) = self.locate(tx, key)?;
         if cur == NULL {
             return Ok(false);
@@ -202,8 +191,7 @@ impl TxList {
         Ok(tx.read_var(&node.key)? == key)
     }
 
-    /// Count the keys in `[lo, hi]`, within transaction `tx`.
-    pub fn range_query_tx<X: Transaction>(&self, tx: &mut X, lo: u64, hi: u64) -> TxResult<usize> {
+    fn range_query_tx<X: Transaction>(&self, tx: &mut X, lo: u64, hi: u64) -> TxResult<usize> {
         let mut count = 0usize;
         let mut cur = tx.read_var(&self.sentinel().next)?;
         while cur != NULL {
@@ -218,28 +206,6 @@ impl TxList {
             cur = tx.read_var(&node.next)?;
         }
         Ok(count)
-    }
-}
-
-impl TxSet for TxList {
-    fn name(&self) -> &'static str {
-        "linked-list"
-    }
-
-    fn insert<H: TmHandle>(&self, h: &mut H, key: u64, val: u64) -> bool {
-        h.txn(TxKind::ReadWrite, |tx| self.insert_tx(tx, key, val))
-    }
-
-    fn remove<H: TmHandle>(&self, h: &mut H, key: u64) -> bool {
-        h.txn(TxKind::ReadWrite, |tx| self.remove_tx(tx, key))
-    }
-
-    fn contains<H: TmHandle>(&self, h: &mut H, key: u64) -> bool {
-        h.txn(TxKind::ReadOnly, |tx| self.contains_tx(tx, key))
-    }
-
-    fn range_query<H: TmHandle>(&self, h: &mut H, lo: u64, hi: u64) -> usize {
-        h.txn(TxKind::ReadOnly, |tx| self.range_query_tx(tx, lo, hi))
     }
 
     fn size_query<H: TmHandle>(&self, h: &mut H) -> usize {

@@ -12,56 +12,10 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::BTreeMap;
 use std::sync::Arc;
-use tm_api::{TmHandle, TmRuntime, Transaction, TxKind, TxResult};
-use txstructs::{TxAbTree, TxAvlTree, TxExtBst, TxHashMap, TxList};
+use tm_api::{TmHandle, TmRuntime, TxKind};
+use txstructs::{TxAbTree, TxAvlTree, TxExtBst, TxHashMap, TxList, TxSet};
 
-/// The get/scan surface shared by all five structures, for the test only.
-trait KvOps: Send + Sync {
-    fn insert_tx<X: Transaction>(&self, tx: &mut X, key: u64, val: u64) -> TxResult<bool>;
-    fn remove_tx<X: Transaction>(&self, tx: &mut X, key: u64) -> TxResult<bool>;
-    fn get_tx<X: Transaction>(&self, tx: &mut X, key: u64) -> TxResult<Option<u64>>;
-    fn scan_tx<X: Transaction>(
-        &self,
-        tx: &mut X,
-        lo: u64,
-        hi: u64,
-        out: &mut Vec<(u64, u64)>,
-    ) -> TxResult<usize>;
-}
-
-macro_rules! impl_kv_ops {
-    ($ty:ty) => {
-        impl KvOps for $ty {
-            fn insert_tx<X: Transaction>(&self, tx: &mut X, key: u64, val: u64) -> TxResult<bool> {
-                <$ty>::insert_tx(self, tx, key, val)
-            }
-            fn remove_tx<X: Transaction>(&self, tx: &mut X, key: u64) -> TxResult<bool> {
-                <$ty>::remove_tx(self, tx, key)
-            }
-            fn get_tx<X: Transaction>(&self, tx: &mut X, key: u64) -> TxResult<Option<u64>> {
-                <$ty>::get_tx(self, tx, key)
-            }
-            fn scan_tx<X: Transaction>(
-                &self,
-                tx: &mut X,
-                lo: u64,
-                hi: u64,
-                out: &mut Vec<(u64, u64)>,
-            ) -> TxResult<usize> {
-                out.clear();
-                <$ty>::scan_tx(self, tx, lo, hi, &mut |k, v| out.push((k, v)))
-            }
-        }
-    };
-}
-
-impl_kv_ops!(TxAbTree);
-impl_kv_ops!(TxAvlTree);
-impl_kv_ops!(TxExtBst);
-impl_kv_ops!(TxHashMap);
-impl_kv_ops!(TxList);
-
-fn check_kv_against_model<S: KvOps, R: TmRuntime>(set: &S, runtime: &Arc<R>, ops: usize) {
+fn check_kv_against_model<S: TxSet, R: TmRuntime>(set: &S, runtime: &Arc<R>, ops: usize) {
     let mut h = runtime.register();
     let mut model: BTreeMap<u64, u64> = BTreeMap::new();
     let mut rng = StdRng::seed_from_u64(7);
@@ -95,10 +49,8 @@ fn check_kv_against_model<S: KvOps, R: TmRuntime>(set: &S, runtime: &Arc<R>, ops
                 let expected: Vec<(u64, u64)> =
                     model.range(lo..=hi).map(|(k, v)| (*k, *v)).collect();
                 let n = h.txn(TxKind::ReadOnly, |tx| {
-                    let mut out = std::mem::take(&mut scratch);
-                    let r = set.scan_tx(tx, lo, hi, &mut out);
-                    scratch = out;
-                    r
+                    scratch.clear();
+                    set.scan_tx(tx, lo, hi, &mut |k, v| scratch.push((k, v)))
                 });
                 scratch.sort_unstable();
                 assert_eq!(

@@ -14,7 +14,7 @@ fn main() {
     println!("  wal         write-ahead log: group commit, checkpoints, recovery");
     println!("  store       keyed KV service with a checksummed protocol and a std-only server");
     println!("  sim         schedule explorer behind the `sim` feature");
-    println!("  bench       per-figure reproduction binaries + Criterion micro-benches");
+    println!("  bench       per-figure reproduction binaries + TM/substrate micro-benches");
     println!();
     println!("Examples:   cargo run --release --example quickstart");
     println!("            cargo run --release --example bank");
@@ -27,8 +27,11 @@ fn main() {
     println!("             fig13_hashmap, modes_table)");
     println!();
     println!("Tests:      cargo test --workspace");
+    println!("Checkers:   cargo run --release -p harness --features record --bin harness -- check");
+    println!("            (`explore` needs --features sim, `crash` --features crashpoint)");
     println!("Benchmark:  cargo run --release --manifest-path benchmark/Cargo.toml -- run --smoke");
-    println!("Benches:    cargo bench --workspace");
+    println!("Benches:    cargo bench -p bench  (stm_microbench, substrate_microbench,");
+    println!("            txset_microbench)");
     println!("See TESTING.md (checkers and tests), benchmark/README.md (the benchmark)");
     println!("and ROADMAP.md (status and open items).");
 }
