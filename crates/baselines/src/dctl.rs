@@ -17,16 +17,22 @@
 //!   aborted by concurrent writers. The paper's evaluation (§5, "DCTL
 //!   Starvation Freedom") attributes DCTL's huge variance to exactly this
 //!   path, which this implementation reproduces.
+//!
+//! The unversioned protocol itself — validated reads, encounter-time stripe
+//! locks and commit-time read-set validation — is [`tm_api::DctlCore`],
+//! the same core Multiverse's unversioned path runs on. `DctlTx` is that
+//! core plus the irrevocable path and DCTL's own commit and abort (the
+//! `increment`-on-abort clock and the no-locks commit shortcut; see the
+//! core's module docs for how the two TMs differ).
 
 use ebr::{Collector, LocalHandle, TxMem};
-use std::sync::atomic::{fence, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use tm_api::abort::TxResult;
 use tm_api::backoff::SpinWait;
 use tm_api::traits::Dtor;
-use tm_api::txset::{LockedStripes, StripeReadSet, UndoLog};
 use tm_api::{
-    Abort, CachePadded, GlobalClock, Handle, LockTable, Protocol, StatsRegistry, ThreadStats,
+    CachePadded, DctlCore, GlobalClock, Handle, LockTable, Protocol, StatsRegistry, ThreadStats,
     TmRuntime, TmStatsSnapshot, Transaction, TxKind, TxWord, DEFAULT_STRIPES,
 };
 
@@ -102,15 +108,10 @@ impl DctlRuntime {
 /// DCTL transaction descriptor.
 pub struct DctlTx {
     rt: Arc<DctlRuntime>,
-    tid: u64,
     stats: Arc<ThreadStats>,
     ebr: LocalHandle,
     mem: TxMem,
-    rv: u64,
-    read_set: StripeReadSet,
-    undo: UndoLog,
-    locked: LockedStripes,
-    reads: u64,
+    core: DctlCore,
     irrevocable: bool,
 }
 
@@ -118,17 +119,17 @@ impl DctlTx {
     /// Acquire `idx` for this transaction, spinning until the current holder
     /// releases it. Only used on the irrevocable path.
     fn lock_stripe_blocking(&mut self, idx: usize) {
-        if self.locked.contains(idx) {
+        if self.core.locked.contains(idx) {
             return;
         }
         let mut spin = SpinWait::new();
         loop {
-            match self.rt.locks.lock_at(idx).try_lock(self.tid, false) {
+            match self.rt.locks.lock_at(idx).try_lock(self.core.tid, false) {
                 Ok(_prev) => {
-                    self.locked.push(idx);
+                    self.core.locked.push(idx);
                     return;
                 }
-                Err(st) if st.locked && st.tid == self.tid => {
+                Err(st) if st.locked && st.tid == self.core.tid => {
                     return;
                 }
                 Err(_) => spin.spin(),
@@ -139,24 +140,17 @@ impl DctlTx {
 
 impl Transaction for DctlTx {
     fn read(&mut self, word: &TxWord) -> TxResult<u64> {
-        self.reads += 1;
+        self.core.reads += 1;
         self.stats.reads.inc();
         let idx = self.rt.locks.index_of(word.addr());
-        if self.irrevocable {
+        let val = if self.irrevocable {
             // Irrevocable transactions claim locks on reads so that they can
             // never be invalidated (and can therefore never abort).
             self.lock_stripe_blocking(idx);
-            let val = word.tm_load();
-            tm_api::record::on_read(word.addr(), val);
-            return Ok(val);
-        }
-        let val = word.tm_load();
-        fence(Ordering::Acquire);
-        let st = self.rt.locks.lock_at(idx).load();
-        if !st.validate(self.rv, self.tid) {
-            return Err(Abort);
-        }
-        self.read_set.push(idx);
+            word.tm_load()
+        } else {
+            self.core.read(&self.rt.locks, word, idx)?
+        };
         tm_api::record::on_read(word.addr(), val);
         Ok(val)
     }
@@ -164,31 +158,12 @@ impl Transaction for DctlTx {
     fn write(&mut self, word: &TxWord, value: u64) -> TxResult<()> {
         self.stats.writes.inc();
         let idx = self.rt.locks.index_of(word.addr());
-        let lock = self.rt.locks.lock_at(idx);
-        let st = lock.load();
-        let owned = st.locked && st.tid == self.tid;
-        if !owned {
-            if self.irrevocable {
-                self.lock_stripe_blocking(idx);
-            } else {
-                if !st.validate(self.rv, self.tid) {
-                    return Err(Abort);
-                }
-                match lock.try_lock(self.tid, false) {
-                    Ok(prev) => {
-                        if prev.version >= self.rv {
-                            // Someone committed to this stripe after we read
-                            // the clock; keep the strictly-less-than rule.
-                            lock.unlock_restore(prev);
-                            return Err(Abort);
-                        }
-                        self.locked.push(idx);
-                    }
-                    Err(_) => return Err(Abort),
-                }
-            }
+        if self.irrevocable {
+            self.lock_stripe_blocking(idx);
+        } else {
+            self.core.lock_for_write(&self.rt.locks, idx)?;
         }
-        self.undo.push(word, word.tm_load());
+        self.core.undo.push(word, word.tm_load());
         word.tm_store(value);
         tm_api::record::on_write(word.addr(), value);
         Ok(())
@@ -203,7 +178,7 @@ impl Transaction for DctlTx {
     }
 
     fn read_count(&self) -> u64 {
-        self.reads
+        self.core.reads
     }
 }
 
@@ -213,15 +188,12 @@ impl Protocol for DctlTx {
     fn begin(&mut self, _kind: TxKind, attempt: u64) {
         self.irrevocable = attempt >= self.rt.config.irrevocable_after;
         if self.irrevocable {
-            self.rt.acquire_irrevocable(self.tid);
+            self.rt.acquire_irrevocable(self.core.tid);
         }
         self.stats.starts.inc();
         self.ebr.pin();
-        self.read_set.clear();
-        self.undo.clear();
-        debug_assert!(self.locked.is_empty());
-        self.reads = 0;
-        self.rv = self.rt.clock.read();
+        self.core.reset();
+        self.core.rv = self.rt.clock.read();
     }
 
     fn try_commit(&mut self) -> TxResult<()> {
@@ -230,47 +202,42 @@ impl Protocol for DctlTx {
         // per-read validation already guarantees its consistency. Note that
         // *irrevocable* read-only transactions do hold locks (they lock on
         // read) and must fall through to the release below.
-        if self.locked.is_empty() {
+        if self.core.locked.is_empty() {
             return Ok(());
         }
         if !self.irrevocable {
-            for &idx in &self.read_set {
-                let st = self.rt.locks.lock_at(idx).load();
-                if !st.validate(self.rv, self.tid) {
-                    return Err(Abort);
-                }
-            }
+            self.core.validate_reads(&self.rt.locks)?;
         }
         let commit_clock = self.rt.clock.read();
-        self.locked.release_all(&self.rt.locks, commit_clock);
+        self.core.locked.release_all(&self.rt.locks, commit_clock);
         Ok(())
     }
 
     fn commit(&mut self) {
         self.mem.on_commit(&mut self.ebr);
-        self.undo.clear();
-        self.read_set.clear();
+        self.core.undo.clear();
+        self.core.read_set.clear();
         self.ebr.unpin();
         if self.irrevocable {
-            self.rt.release_irrevocable(self.tid);
+            self.rt.release_irrevocable(self.core.tid);
             self.stats.irrevocable_commits.inc();
         }
     }
 
     fn abort(&mut self) {
-        self.undo.rollback();
+        self.core.undo.rollback();
         self.mem.on_abort();
         // Deferred clock: the clock only advances on aborts, ensuring retries
         // observe a fresher read clock (Listing 1 of the Multiverse paper,
         // which inherits this from DCTL).
         let next_clock = self.rt.clock.increment();
-        self.locked.release_all(&self.rt.locks, next_clock);
-        self.read_set.clear();
+        self.core.locked.release_all(&self.rt.locks, next_clock);
+        self.core.read_set.clear();
         self.ebr.unpin();
         if self.irrevocable {
             // Only explicit user aborts can get here; the token must still be
             // released.
-            self.rt.release_irrevocable(self.tid);
+            self.rt.release_irrevocable(self.core.tid);
         }
     }
 
@@ -286,15 +253,10 @@ impl TmRuntime for DctlRuntime {
         let tid = (self.next_tid.fetch_add(1, Ordering::Relaxed)) & tm_api::MAX_TID;
         Handle::new(DctlTx {
             rt: Arc::clone(self),
-            tid,
             stats: self.stats.register(),
             ebr: LocalHandle::new(Arc::clone(&self.ebr)),
             mem: TxMem::new(),
-            rv: 0,
-            read_set: StripeReadSet::new(),
-            undo: UndoLog::default(),
-            locked: LockedStripes::default(),
-            reads: 0,
+            core: DctlCore::new(tid),
             irrevocable: false,
         })
     }
@@ -311,7 +273,7 @@ impl TmRuntime for DctlRuntime {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tm_api::{TVar, TmHandle};
+    use tm_api::{Abort, TVar, TmHandle};
 
     fn runtime() -> Arc<DctlRuntime> {
         Arc::new(DctlRuntime::new(DctlConfig {

@@ -10,7 +10,8 @@
 //!   (redo-log) writes, GV4-style global clock.
 //! * [`dctl`] — Deferred Clock Transactional Locking: encounter-time locking,
 //!   undo-log writes, a global clock that is only incremented on aborts, and
-//!   an irrevocable starvation-free fallback path.
+//!   an irrevocable starvation-free fallback path. Its unversioned protocol
+//!   is [`tm_api::DctlCore`], shared with Multiverse's unversioned path.
 //! * [`norec`] — NOrec: no ownership records; a single global sequence lock
 //!   with value-based validation.
 //! * [`tinystm`] — a TinySTM-style encounter-time-locking STM with

@@ -72,7 +72,6 @@ pub struct NorecTx {
     rv: u64,
     reads_values: ValueReadSet,
     redo: RedoLog,
-    kind: TxKind,
     reads: u64,
 }
 
@@ -93,8 +92,7 @@ impl NorecTx {
 }
 
 impl Protocol for NorecTx {
-    fn begin(&mut self, kind: TxKind, _attempt: u64) {
-        self.kind = kind;
+    fn begin(&mut self, _kind: TxKind, _attempt: u64) {
         self.stats.starts.inc();
         self.ebr.pin();
         self.reads_values.clear();
@@ -104,7 +102,7 @@ impl Protocol for NorecTx {
     }
 
     fn try_commit(&mut self) -> TxResult<()> {
-        if self.kind == TxKind::ReadOnly || self.redo.is_empty() {
+        if self.redo.is_empty() {
             return Ok(());
         }
         // Become the exclusive writer: CAS the sequence lock from our
@@ -196,7 +194,6 @@ impl TmRuntime for NorecRuntime {
             rv: 0,
             reads_values: ValueReadSet::default(),
             redo: RedoLog::default(),
-            kind: TxKind::ReadOnly,
             reads: 0,
         })
     }

@@ -77,15 +77,13 @@ pub struct TinyStmTx {
     /// aborts can restore the original version (values are also restored, so
     /// no version bump is necessary).
     locked: InlineVec<(usize, LockState), 32>,
-    kind: TxKind,
     reads: u64,
 }
 
 impl TinyStmTx {
-    /// Revalidate the read set against the *original* read clock and, if
-    /// everything is unchanged, extend the snapshot to the current clock.
-    fn try_extend(&mut self) -> TxResult<()> {
-        let new_rv = self.rt.clock.read();
+    /// Check every read stripe is ours, or free and stamped at or below the
+    /// read clock (TinySTM's non-strict rule).
+    fn validate_reads(&self) -> TxResult<()> {
         for &idx in &self.read_set {
             let st = self.rt.locks.lock_at(idx).load();
             let mine = st.locked && st.tid == self.tid;
@@ -93,14 +91,21 @@ impl TinyStmTx {
                 return Err(Abort);
             }
         }
+        Ok(())
+    }
+
+    /// Revalidate the read set against the *original* read clock and, if
+    /// everything is unchanged, extend the snapshot to the current clock.
+    fn try_extend(&mut self) -> TxResult<()> {
+        let new_rv = self.rt.clock.read();
+        self.validate_reads()?;
         self.rv = new_rv;
         Ok(())
     }
 }
 
 impl Protocol for TinyStmTx {
-    fn begin(&mut self, kind: TxKind, _attempt: u64) {
-        self.kind = kind;
+    fn begin(&mut self, _kind: TxKind, _attempt: u64) {
         self.stats.starts.inc();
         self.ebr.pin();
         self.read_set.clear();
@@ -111,18 +116,12 @@ impl Protocol for TinyStmTx {
     }
 
     fn try_commit(&mut self) -> TxResult<()> {
-        if self.kind == TxKind::ReadOnly || self.locked.is_empty() {
+        if self.locked.is_empty() {
             return Ok(());
         }
         let wv = self.rt.clock.increment();
         if wv > self.rv + 1 {
-            for &idx in &self.read_set {
-                let st = self.rt.locks.lock_at(idx).load();
-                let mine = st.locked && st.tid == self.tid;
-                if !(mine || (!st.locked && st.version <= self.rv)) {
-                    return Err(Abort);
-                }
-            }
+            self.validate_reads()?;
         }
         for &(idx, _) in &self.locked {
             self.rt.locks.lock_at(idx).unlock_with_version(wv);
@@ -242,7 +241,6 @@ impl TmRuntime for TinyStmRuntime {
             read_set: StripeReadSet::new(),
             undo: UndoLog::default(),
             locked: InlineVec::new(),
-            kind: TxKind::ReadOnly,
             reads: 0,
         })
     }

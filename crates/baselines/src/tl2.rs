@@ -80,7 +80,6 @@ pub struct Tl2Tx {
     read_set: StripeReadSet,
     redo: RedoLog,
     rv: u64,
-    kind: TxKind,
     reads: u64,
 }
 
@@ -91,8 +90,7 @@ fn release_acquired(rt: &Tl2Runtime, acquired: &[(usize, LockState)]) {
 }
 
 impl Protocol for Tl2Tx {
-    fn begin(&mut self, kind: TxKind, _attempt: u64) {
-        self.kind = kind;
+    fn begin(&mut self, _kind: TxKind, _attempt: u64) {
         self.stats.starts.inc();
         self.ebr.pin();
         self.read_set.clear();
@@ -104,7 +102,7 @@ impl Protocol for Tl2Tx {
     /// Commit-time protocol for updating transactions. Returns `Err(Abort)`
     /// if the transaction must retry.
     fn try_commit(&mut self) -> TxResult<()> {
-        if self.kind == TxKind::ReadOnly || self.redo.is_empty() {
+        if self.redo.is_empty() {
             return Ok(());
         }
         // Phase 1: acquire the write-set locks. The commit-local lists use
@@ -245,7 +243,6 @@ impl TmRuntime for Tl2Runtime {
             read_set: StripeReadSet::new(),
             redo: RedoLog::default(),
             rv: 0,
-            kind: TxKind::ReadOnly,
             reads: 0,
         })
     }

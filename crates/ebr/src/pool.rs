@@ -48,13 +48,13 @@
 //!   handle keeps a small array of slots plus a private reserve chain, so
 //!   the common case is a pointer pop with no shared-memory traffic at all.
 //!   Refills detach the home shard wholesale; spills return the coldest half
-//!   of the local cache as **one** chain push (one CAS per [`SPILL_BATCH`]
+//!   of the local cache as **one** chain push (one CAS per `SPILL_BATCH`
 //!   slots).
 //! * If the home shard is empty the handle **steals**: it scans the sibling
 //!   shards round-robin, starting from a per-handle cursor that spreads
 //!   repeated steals, and adopts the first non-empty shard's stack. Only
 //!   when every shard is empty does it fall back to growing a fresh
-//!   [`SLAB_SLOTS`]-slot slab from the system allocator.
+//!   `SLAB_SLOTS`-slot slab from the system allocator.
 //! * Context-free frees ([`NodePool::push`], used by EBR recycle
 //!   destructors) route to the calling thread's home shard via a
 //!   thread-local hint that [`PoolHandle::new`] registers — a thread

@@ -21,8 +21,8 @@
 //! ## Safety argument: why recycled nodes can never be confused with live ones
 //!
 //! 1. **Retire-before-recycle.** A slot only re-enters the pool through one
-//!    of the EBR destructors below ([`recycle_version_node`],
-//!    [`recycle_vlt_chain`]) or from an owner that never published it (abort
+//!    of the EBR destructors below (`recycle_version_node`,
+//!    `recycle_vlt_chain`) or from an owner that never published it (abort
 //!    rollback retires through EBR too; only teardown releases directly).
 //!    EBR runs a destructor strictly after a grace period: no thread that
 //!    was pinned when the node was retired is still pinned. Reusing the slot
@@ -49,7 +49,9 @@
 //! 3. **Init-before-publish.** A slot popped from the pool is fully
 //!    re-initialised (`ptr::write` of the whole node, plain stores) while it
 //!    is exclusively owned, and only then published — under the stripe lock,
-//!    with a `Release` store ([`VersionList::push_head`], `Vlt::insert`).
+//!    with a `Release` store
+//!    ([`VersionList::push_head`](crate::version::VersionList::push_head),
+//!    `Vlt::insert`).
 //!    Readers reach the node through an `Acquire` load of that pointer, so
 //!    they observe the fresh timestamp/TBD/data fields, never stale ones.
 //!    This is the same ordering `Box::new` publication relied on.
@@ -130,12 +132,6 @@ pub fn total_pool_bytes() -> usize {
 /// Nodes recycled into the pool after their grace period, process-wide.
 pub fn recycled_count() -> u64 {
     node_pool().recycled_count()
-}
-
-/// Number of free-list shards the arena pool resolved to (from
-/// `MULTIVERSE_POOL_SHARDS` or the machine's core count).
-pub fn pool_shard_count() -> usize {
-    node_pool().shard_count()
 }
 
 /// Initialise a pooled slot as a [`VersionNode`].

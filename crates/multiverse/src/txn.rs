@@ -1,6 +1,15 @@
 //! The Multiverse transaction descriptor: unversioned and versioned code
 //! paths, Mode Q / Mode U read protocols, commit and abort (paper §4.1–§4.3,
 //! Listings 1–5).
+//!
+//! The unversioned path is DCTL's: validated reads, encounter-time stripe
+//! locks and commit-time read-set validation are calls into
+//! [`tm_api::DctlCore`], the same core the DCTL baseline runs on.
+//! Versioning stays here as hooks around it: the version-list write between
+//! the undo push and the in-place store, the versioned-write records
+//! (`vwrites`) resolved at commit and unlinked on abort, and the WAL tap,
+//! which reads the core's undo log. The core's module docs name the three
+//! places where the two TMs still differ.
 
 use crate::arena;
 use crate::config::ForcedMode;
@@ -17,9 +26,9 @@ use tm_api::backoff::SpinWait;
 use tm_api::clock::{ClockCache, Tick};
 use tm_api::sync::{fence, Ordering};
 use tm_api::traits::Dtor;
-use tm_api::txset::{InlineVec, LockedStripes, StripeReadSet, UndoLog};
+use tm_api::txset::InlineVec;
 use tm_api::vlock::LockState;
-use tm_api::{Abort, Protocol, ThreadStats, Transaction, TxKind, TxWord};
+use tm_api::{Abort, DctlCore, Protocol, ThreadStats, Transaction, TxKind, TxWord};
 
 /// Sentinel for "no initial versioned timestamp recorded yet".
 pub(crate) const INVALID_TS: u64 = u64::MAX;
@@ -57,7 +66,6 @@ const SUPERSEDE_FORCE_AT: usize = 96;
 /// across attempts and operations.
 pub struct MultiverseTx {
     pub(crate) rt: Arc<MultiverseRuntime>,
-    pub(crate) tid: u64,
     pub(crate) slot: Arc<ThreadSlot>,
     pub(crate) stats: Arc<ThreadStats>,
     pub(crate) ebr: LocalHandle,
@@ -75,15 +83,13 @@ pub struct MultiverseTx {
     clock_cache: ClockCache,
 
     // ---- per-attempt state ----
+    /// The unversioned DCTL protocol state: tid, read clock, read count,
+    /// read set, undo log and held stripes.
+    core: DctlCore,
     kind: TxKind,
-    rv: u64,
     local_mode_counter: u64,
     local_mode: Mode,
     versioned: bool,
-    reads: u64,
-    read_set: StripeReadSet,
-    undo: UndoLog,
-    locked: LockedStripes,
     vwrites: InlineVec<VersionedWrite, VWRITE_INLINE>,
 
     // ---- per-operation state (persists across the retries of one txn) ----
@@ -109,7 +115,6 @@ impl MultiverseTx {
     ) -> Self {
         Self {
             rt,
-            tid,
             slot,
             stats,
             ebr,
@@ -117,15 +122,11 @@ impl MultiverseTx {
             pool: arena::pool_handle(),
             superseded: InlineVec::new(),
             clock_cache: ClockCache::new(),
+            core: DctlCore::new(tid),
             kind: TxKind::ReadOnly,
-            rv: 0,
             local_mode_counter: 0,
             local_mode: Mode::Q,
             versioned: false,
-            reads: 0,
-            read_set: StripeReadSet::new(),
-            undo: UndoLog::default(),
-            locked: LockedStripes::default(),
             vwrites: InlineVec::new(),
             attempts: 0,
             initial_versioned_ts: INVALID_TS,
@@ -152,25 +153,12 @@ impl MultiverseTx {
     /// (TBD versions below it are spun out before acceptance), which is what
     /// makes it the checkpoint cut for the WAL's snapshot writer.
     pub fn snapshot_clock(&self) -> u64 {
-        self.rv
+        self.core.rv
     }
 
     // ------------------------------------------------------------------
     // Read paths
     // ------------------------------------------------------------------
-
-    fn unversioned_read(&mut self, word: &TxWord, idx: usize) -> TxResult<u64> {
-        let val = word.tm_load();
-        fence(Ordering::Acquire);
-        // Wait out concurrent versioning of the stripe (flag bit), then
-        // validate against the read clock.
-        let st = self.rt.locks.lock_at(idx).load_wait_no_flag();
-        if !st.validate(self.rv, self.tid) {
-            return Err(Abort);
-        }
-        self.read_set.push(idx);
-        Ok(val)
-    }
 
     /// `modeQ_versionedRead` (Listing 4): read through the version list,
     /// versioning the address on demand if necessary.
@@ -179,7 +167,7 @@ impl MultiverseTx {
         if self.rt.bloom.try_add(idx, addr) {
             // The filter says the address may already be versioned.
             if let Some(vlist) = self.rt.vlt.find(idx, addr) {
-                return vlist.traverse(self.rv);
+                return vlist.traverse(self.core.rv);
             }
         }
         self.version_then_read(word, idx)
@@ -194,7 +182,7 @@ impl MultiverseTx {
             let lock = self.rt.locks.lock_at(idx);
             let mut spin = SpinWait::new();
             loop {
-                match lock.try_lock(self.tid, true) {
+                match lock.try_lock(self.core.tid, true) {
                     Ok(prev) => break prev,
                     Err(_) => spin.spin(),
                 }
@@ -205,7 +193,7 @@ impl MultiverseTx {
             let vlist: *const VersionList = vlist;
             self.rt.locks.lock_at(idx).unlock_restore(prev);
             // Safety: version lists are reclaimed through EBR; we are pinned.
-            return unsafe { &*vlist }.traverse(self.rv);
+            return unsafe { &*vlist }.traverse(self.core.rv);
         }
         let data = word.tm_load();
         // Earliest safe timestamp: the first observed Mode-U timestamp if the
@@ -220,7 +208,7 @@ impl MultiverseTx {
         self.rt.bloom.try_add(idx, addr);
         self.stats.addresses_versioned.inc();
         self.rt.locks.lock_at(idx).unlock_restore(prev);
-        if !prev.validate(self.rv, self.tid) {
+        if !prev.validate(self.core.rv, self.core.tid) {
             // The address changed after our read clock; the (now-created)
             // version list stays, but this transaction must abort.
             return Err(Abort);
@@ -241,7 +229,7 @@ impl MultiverseTx {
         loop {
             if self.rt.bloom.contains(idx, addr) {
                 if let Some(vlist) = self.rt.vlt.find(idx, addr) {
-                    return vlist.traverse(self.rv);
+                    return vlist.traverse(self.core.rv);
                 }
             }
             // The address is not versioned.
@@ -249,7 +237,8 @@ impl MultiverseTx {
             fence(Ordering::Acquire);
             let st = self.rt.locks.lock_at(idx).load();
             let first_obs = self.rt.first_obs_mode_u_ts();
-            let valid_ver = st.version < self.rv || first_obs.is_some_and(|ts| ts < self.rv);
+            let valid_ver =
+                st.version < self.core.rv || first_obs.is_some_and(|ts| ts < self.core.rv);
             if did_retry {
                 let ver_changed = st.version != last_ver;
                 let val_changed = val != last_val;
@@ -276,7 +265,7 @@ impl MultiverseTx {
                 did_retry = true;
                 continue;
             }
-            if st.version < self.rv {
+            if st.version < self.core.rv {
                 // The stripe has been quiescent since before our read clock:
                 // any committed write to this address would have stamped the
                 // stripe at or above our read clock, so `val` is stable.
@@ -359,7 +348,7 @@ impl MultiverseTx {
         let node = self.alloc_slot() as *mut VersionNode;
         // Safety: fresh exclusive slot; published right below under the
         // stripe lock (Release store in `push_head`).
-        unsafe { arena::init_version_node(node, head, self.rv, value, true) };
+        unsafe { arena::init_version_node(node, head, self.core.rv, value, true) };
         list.push_head(node);
         self.rt.add_version_bytes(arena::NODE_SLOT_BYTES);
         // `eventualFree` of the superseded head happens in `try_commit`,
@@ -370,6 +359,20 @@ impl MultiverseTx {
             node,
             older: head,
         });
+    }
+
+    /// Advance the global clock past `observed` via the coalescing
+    /// [`GlobalClock::tick`](tm_api::clock::GlobalClock::tick), recording
+    /// contention stats and teaching the per-thread cache the result.
+    #[inline]
+    fn tick_clock(&mut self, observed: u64) -> Tick {
+        let tick = self.rt.clock.tick(observed);
+        self.stats.clock_ticks.inc();
+        if tick.retries != 0 {
+            self.stats.clock_tick_retries.add(tick.retries as u64);
+        }
+        self.clock_cache.note(tick.value);
+        tick
     }
 
     /// Hand every version node superseded by a *committed* write of this
@@ -392,20 +395,6 @@ impl MultiverseTx {
     /// bump the clock ourselves (always safe — the clock is monotonic and a
     /// spurious tick only freshens future read clocks, exactly like the tick
     /// every abort already performs).
-    /// Advance the global clock past `observed` via the coalescing
-    /// [`GlobalClock::tick`](tm_api::clock::GlobalClock::tick), recording
-    /// contention stats and teaching the per-thread cache the result.
-    #[inline]
-    fn tick_clock(&mut self, observed: u64) -> Tick {
-        let tick = self.rt.clock.tick(observed);
-        self.stats.clock_ticks.inc();
-        if tick.retries != 0 {
-            self.stats.clock_tick_retries.add(tick.retries as u64);
-        }
-        self.clock_cache.note(tick.value);
-        tick
-    }
-
     fn flush_superseded(&mut self) {
         if self.superseded.is_empty() {
             return;
@@ -498,14 +487,14 @@ impl MultiverseTx {
     /// relaxed load.
     #[cfg(feature = "wal")]
     fn wal_log_commit(&self, commit_clock: u64) {
-        if !wal::is_active() || self.undo.is_empty() {
+        if !wal::is_active() || self.core.undo.is_empty() {
             return;
         }
         // The undo log records every write call; collapse it to the write
         // *set*. The first occurrence of each word wins the slot, and the
         // logged value is the word's current (final, still-locked) value,
         // so later writes to the same word are captured regardless.
-        let entries = self.undo.entries();
+        let entries = self.core.undo.entries();
         let mut writes: Vec<(u64, u64)> = Vec::with_capacity(entries.len());
         for e in entries {
             // Safety: the word stays alive under this attempt's EBR pin and
@@ -530,11 +519,11 @@ impl MultiverseTx {
             let delta = self
                 .clock_cache
                 .recall()
-                .saturating_sub(self.initial_versioned_ts.min(self.rv));
+                .saturating_sub(self.initial_versioned_ts.min(self.core.rv));
             self.slot.announce_commit_ts_delta(delta);
             if self.local_mode == Mode::U {
                 self.stats.mode_u_commits.inc();
-                self.rt.update_min_mode_u_read_count(self.reads);
+                self.rt.update_min_mode_u_read_count(self.core.reads);
             }
         }
         self.note_commit_heuristics();
@@ -551,12 +540,12 @@ impl MultiverseTx {
         if self.pending_small_threshold {
             // First commit after the CAS attempt defines what "small" means
             // for this thread: 1/S of that transaction's size.
-            self.small_txn_threshold = (self.reads / s).max(1);
+            self.small_txn_threshold = (self.core.reads / s).max(1);
             self.pending_small_threshold = false;
             self.consec_small = 0;
             return;
         }
-        let small = !self.versioned || self.reads <= self.small_txn_threshold;
+        let small = !self.versioned || self.core.reads <= self.small_txn_threshold;
         if small {
             self.consec_small += 1;
             if self.consec_small >= s {
@@ -581,7 +570,7 @@ impl MultiverseTx {
         }
         let cfg = &self.rt.cfg;
         let min_reads = self.rt.min_mode_u_read_count();
-        let by_k2 = self.attempts >= cfg.k2_mode_u_after && self.reads >= min_reads;
+        let by_k2 = self.attempts >= cfg.k2_mode_u_after && self.core.reads >= min_reads;
         let by_k3 = self.versioned && self.attempts >= cfg.k3_versioned_mode_u_after;
         if !(by_k2 || by_k3) {
             return;
@@ -612,11 +601,8 @@ impl Protocol for MultiverseTx {
         self.kind = kind;
         self.stats.starts.inc();
         self.ebr.pin();
-        self.read_set.clear();
-        self.undo.clear();
+        self.core.reset();
         self.vwrites.clear();
-        debug_assert!(self.locked.is_empty());
-        self.reads = 0;
 
         // Decide the code path for this attempt: read-only transactions switch
         // to the versioned path after K1 failed attempts, or earlier if their
@@ -656,11 +642,11 @@ impl Protocol for MultiverseTx {
         // The read clock MUST be a real load (refresh, not recall): a cached
         // rv would admit this attempt at a timestamp the supersede gate may
         // already have retired behind (see `crate::arena`, safety point 2).
-        self.rv = self.clock_cache.refresh(&self.rt.clock);
+        self.core.rv = self.clock_cache.refresh(&self.rt.clock);
         if self.versioned && self.initial_versioned_ts == INVALID_TS {
             // First attempt on the versioned path: remember the initial
             // versioned timestamp for the commit-timestamp-delta heuristic.
-            self.initial_versioned_ts = self.rv;
+            self.initial_versioned_ts = self.core.rv;
         }
     }
 
@@ -671,12 +657,7 @@ impl Protocol for MultiverseTx {
             return Ok(());
         }
         // Updating transaction: revalidate the read set.
-        for &idx in &self.read_set {
-            let st = self.rt.locks.lock_at(idx).load();
-            if !st.validate(self.rv, self.tid) {
-                return Err(Abort);
-            }
-        }
+        self.core.validate_reads(&self.rt.locks)?;
         // The commit timestamp MUST be a real load (refresh, not recall): a
         // stale value would stamp this commit behind read clocks that have
         // already validated against newer state.
@@ -702,7 +683,7 @@ impl Protocol for MultiverseTx {
                 });
             }
         }
-        self.locked.release_all(&self.rt.locks, commit_clock);
+        self.core.locked.release_all(&self.rt.locks, commit_clock);
         self.note_commit_heuristics();
         Ok(())
     }
@@ -722,7 +703,7 @@ impl Protocol for MultiverseTx {
     /// mode-switch heuristics.
     fn abort(&mut self) {
         // 1. Roll back the in-place writes (newest first).
-        self.undo.rollback();
+        self.core.undo.rollback();
         // 2. Roll back versioned writes: mark deleted, unlink, retire. The
         //    unlinked node is unreachable for newly pinned readers, so plain
         //    grace-period retirement suffices (no clock gate needed); the
@@ -755,9 +736,9 @@ impl Protocol for MultiverseTx {
         //    value instead of one fetch_add per abort. Releasing locks at an
         //    adopted (shared) clock value is fine: deferred-clock commits
         //    already release at non-unique values.
-        let tick = self.tick_clock(self.rv);
-        if !self.locked.is_empty() {
-            self.locked.release_all(&self.rt.locks, tick.value);
+        let tick = self.tick_clock(self.core.rv);
+        if !self.core.locked.is_empty() {
+            self.core.locked.release_all(&self.rt.locks, tick.value);
         }
         // The clock now strictly exceeds `rv`, which is >= every queued
         // commit timestamp (each was stamped by an earlier operation, before
@@ -770,8 +751,8 @@ impl Protocol for MultiverseTx {
         if self.versioned {
             self.stats.versioned_aborts.inc();
         }
-        self.last_attempt_reads = self.reads;
-        self.read_set.clear();
+        self.last_attempt_reads = self.core.reads;
+        self.core.read_set.clear();
         self.slot.clear_active();
         self.ebr.unpin();
     }
@@ -800,7 +781,7 @@ impl Drop for MultiverseTx {
 
 impl Transaction for MultiverseTx {
     fn read(&mut self, word: &TxWord) -> TxResult<u64> {
-        self.reads += 1;
+        self.core.reads += 1;
         self.stats.reads.inc();
         let idx = self.rt.locks.index_of(word.addr());
         let result = if self.versioned {
@@ -813,7 +794,7 @@ impl Transaction for MultiverseTx {
                 self.mode_q_versioned_read(word, idx)
             }
         } else {
-            self.unversioned_read(word, idx)
+            self.core.read(&self.rt.locks, word, idx)
         };
         if let Ok(v) = result {
             tm_api::record::on_read(word.addr(), v);
@@ -823,34 +804,16 @@ impl Transaction for MultiverseTx {
 
     fn write(&mut self, word: &TxWord, value: u64) -> TxResult<()> {
         self.stats.writes.inc();
-        if self.versioned {
-            // Only read-only transactions run on the versioned path (§3.2.2);
-            // a write here means the operation was declared ReadOnly but
-            // attempted a write — abort so it retries (it will stay
-            // unversioned because the kind check in begin() only versions
-            // ReadOnly transactions).
-            return Err(Abort);
-        }
+        // Refused before any lock: the QtoU -> U drain waits only for update
+        // slots, so a ReadOnly writer's write could escape versioning.
+        assert!(
+            self.kind == TxKind::ReadWrite,
+            "Multiverse: a write inside a TxKind::ReadOnly transaction"
+        );
         let idx = self.rt.locks.index_of(word.addr());
-        let st = self.rt.locks.lock_at(idx).load_wait_no_flag();
-        let owned = st.locked && st.tid == self.tid;
-        if !owned {
-            if !st.validate(self.rv, self.tid) {
-                return Err(Abort);
-            }
-            match self.rt.locks.lock_at(idx).try_lock(self.tid, false) {
-                Ok(prev) => {
-                    if prev.version >= self.rv {
-                        self.rt.locks.lock_at(idx).unlock_restore(prev);
-                        return Err(Abort);
-                    }
-                    self.locked.push(idx);
-                }
-                Err(_) => return Err(Abort),
-            }
-        }
+        self.core.lock_for_write(&self.rt.locks, idx)?;
         let old = word.tm_load();
-        self.undo.push(word, old);
+        self.core.undo.push(word, old);
         if self.local_mode.writers_version() {
             self.write_versioning_forced(word, idx, old, value);
         } else {
@@ -874,6 +837,6 @@ impl Transaction for MultiverseTx {
     }
 
     fn read_count(&self) -> u64 {
-        self.reads
+        self.core.reads
     }
 }

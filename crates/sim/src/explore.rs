@@ -4,7 +4,7 @@
 //! The DFS is replay-based: each schedule is a fresh execution driven by a
 //! script (the chosen thread per decision node for a path prefix) and the
 //! deterministic default policy beyond it. Backtrack requests produced by
-//! the scheduler's vector-clock race detection (see [`crate::exec`]) grow
+//! the scheduler's vector-clock race detection (see the `exec` module) grow
 //! the set of alternatives to try at earlier nodes; exploration is complete
 //! when no node has an untried requested alternative. Race-free models
 //! therefore explore exactly one schedule, and only causally-concurrent

@@ -7,7 +7,7 @@
 //! scheduler chooses which pending operation executes next; the sequence of
 //! choices is a *schedule*, identified by a compact replayable token.
 //!
-//! Three strategies walk the schedule space (see [`explore`]):
+//! Three strategies walk the schedule space (see [`explore`](mod@explore)):
 //! exhaustive DFS with dynamic partial-order reduction (vector-clock race
 //! detection decides which reorderings are worth exploring — causally
 //! ordered or non-conflicting accesses never multiply the search),

@@ -5,7 +5,7 @@
 //! spawn/join edges, lock hand-offs, and same-object conflicting accesses
 //! (the trace's own order). Two steps with incomparable clocks are
 //! *concurrent* — only those are candidate race reversals for the DPOR
-//! backtracking in [`crate::explore`].
+//! backtracking in [`crate::explore()`].
 
 /// A grow-on-demand vector clock. Missing components are zero.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]

@@ -1,6 +1,6 @@
 //! Bounded linear backoff used between transaction attempts.
 //!
-//! The paper uses "the same linear backoff as in [30]" (the persistent-TM
+//! The paper uses "the same linear backoff as in \[30\]" (the persistent-TM
 //! implementation of Ramalhete et al.) for both Multiverse and DCTL: after the
 //! `k`-th consecutive abort a thread spins for `k * STEP` iterations, capped.
 //! We expose the same policy for every TM so that comparisons are apples to

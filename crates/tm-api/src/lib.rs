@@ -35,6 +35,7 @@ pub mod abort;
 pub mod backoff;
 pub mod bloom;
 pub mod clock;
+pub mod dctl;
 pub mod fxhash;
 pub mod locktable;
 pub mod padded;
@@ -50,6 +51,7 @@ pub use abort::{Abort, TxResult};
 pub use backoff::Backoff;
 pub use bloom::BloomTable;
 pub use clock::{ClockCache, GlobalClock};
+pub use dctl::DctlCore;
 pub use locktable::{LockTable, StripeIndex};
 pub use padded::CachePadded;
 pub use stats::{StatsRegistry, ThreadStats, TmStatsSnapshot};

@@ -7,8 +7,8 @@
 //! three, and so that "an address' lock also protects its version list"
 //! (paper §3.1.1).
 
+use crate::stripe_of;
 use crate::vlock::VersionedLock;
-use crate::{stripe_of, DEFAULT_STRIPES};
 
 /// Index of a stripe in the parallel tables.
 pub type StripeIndex = usize;
@@ -30,11 +30,6 @@ impl LockTable {
             locks: locks.into_boxed_slice(),
             mask: stripes - 1,
         }
-    }
-
-    /// Create a lock table with the paper's default size.
-    pub fn with_default_size() -> Self {
-        Self::new(DEFAULT_STRIPES)
     }
 
     /// Number of stripes.
@@ -61,12 +56,6 @@ impl LockTable {
         stripe_of(addr, self.mask)
     }
 
-    /// The lock protecting `addr`.
-    #[inline(always)]
-    pub fn lock_for(&self, addr: usize) -> &VersionedLock {
-        &self.locks[self.index_of(addr)]
-    }
-
     /// The lock at stripe `idx`.
     #[inline(always)]
     pub fn lock_at(&self, idx: StripeIndex) -> &VersionedLock {
@@ -90,7 +79,10 @@ mod tests {
         let t = LockTable::new(1 << 10);
         let a = 0xdeadbeef0usize & !7;
         assert_eq!(t.index_of(a), t.index_of(a));
-        assert!(std::ptr::eq(t.lock_for(a), t.lock_for(a)));
+        assert!(std::ptr::eq(
+            t.lock_at(t.index_of(a)),
+            t.lock_at(t.index_of(a))
+        ));
     }
 
     #[test]
@@ -100,14 +92,6 @@ mod tests {
             let idx = t.index_of(0x10_0000 + i * 8);
             assert!(idx < t.len());
         }
-    }
-
-    #[test]
-    fn lock_at_matches_lock_for() {
-        let t = LockTable::new(1 << 8);
-        let addr = 0xabcdef00usize;
-        let idx = t.index_of(addr);
-        assert!(std::ptr::eq(t.lock_at(idx), t.lock_for(addr)));
     }
 
     #[test]

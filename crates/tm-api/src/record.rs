@@ -17,17 +17,17 @@
 //! * **Feature enabled, recording inactive:** one relaxed atomic load and an
 //!   untaken branch per hook. No allocation, no stores.
 //! * **Recording active:** events are pushed to a **per-thread**
-//!   [`InlineVec`]-backed buffer — no locks and no shared-memory writes on
-//!   the event path (the checker orders transactions by data dependencies,
-//!   so events need no global timestamps). Buffers are drained into the
-//!   global collector when the recording session
-//!   [`finish`](RecordingGuard::finish)es (for the calling thread), when a
-//!   worker calls [`flush_thread`], or when a recording thread exits (TLS
-//!   drop), i.e. post-run — never on the transaction path.
+//!   [`InlineVec`](crate::InlineVec)-backed buffer — no locks and no
+//!   shared-memory writes on the event path (the checker orders
+//!   transactions by data dependencies, so events need no global
+//!   timestamps). Buffers are drained into the global collector when the
+//!   recording session finishes (`RecordingGuard::finish`, for the calling
+//!   thread), when a worker calls [`flush_thread`], or when a recording
+//!   thread exits (TLS drop), i.e. post-run — never on the transaction path.
 //!
 //! ## Sessions
 //!
-//! [`start`] acquires a process-wide session lock, so concurrent tests that
+//! `start` acquires a process-wide session lock, so concurrent tests that
 //! both record serialize instead of interleaving garbage. Transactions run by
 //! *unrelated* threads of the same process during an active session do get
 //! recorded (the active flag is global); the checker filters events down to

@@ -369,11 +369,6 @@ impl StatsRegistry {
         total.store_protocol_errors += store.protocol_errors.load(Ordering::Relaxed);
         total
     }
-
-    /// Number of registered threads.
-    pub fn thread_count(&self) -> usize {
-        self.threads.lock().unwrap().len()
-    }
 }
 
 impl TmStatsSnapshot {
@@ -427,7 +422,6 @@ mod tests {
         let snap = reg.snapshot();
         assert_eq!(snap.commits, 7);
         assert_eq!(snap.gave_up, 1);
-        assert_eq!(reg.thread_count(), 2);
     }
 
     #[test]

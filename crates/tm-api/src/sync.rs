@@ -6,7 +6,7 @@
 //! types here *are* the std types — plain `pub use` re-exports, pinned by a
 //! `TypeId` test — so release builds contain no scheduler code at all. With
 //! `sim` on, each type is a `#[repr(transparent)]` wrapper that announces the
-//! operation to the [`sim`] scheduler (a *yield point*) before performing it,
+//! operation to the `sim` scheduler (a *yield point*) before performing it,
 //! which is what lets `sim::explore` enumerate interleavings of the protocol.
 //!
 //! The wrappers preserve layout (`TxWord` stays exactly 8 bytes) and pass
@@ -126,16 +126,6 @@ mod imp {
             pub fn fetch_and(&self, val: $t, order: Ordering) -> $t {
                 sim::on_rmw(self.a());
                 self.0.fetch_and(val, order)
-            }
-            #[inline]
-            pub fn fetch_xor(&self, val: $t, order: Ordering) -> $t {
-                sim::on_rmw(self.a());
-                self.0.fetch_xor(val, order)
-            }
-            #[inline]
-            pub fn fetch_max(&self, val: $t, order: Ordering) -> $t {
-                sim::on_rmw(self.a());
-                self.0.fetch_max(val, order)
             }
             #[inline]
             pub fn fetch_min(&self, val: $t, order: Ordering) -> $t {

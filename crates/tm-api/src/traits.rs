@@ -61,6 +61,12 @@ use std::sync::Arc;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TxKind {
     /// The transaction performs no transactional writes.
+    ///
+    /// A write inside a `ReadOnly` transaction is a caller bug. Multiverse
+    /// refuses it with a panic before taking any lock: its Mode-U drain does
+    /// not wait for read-only workers, so such a write could escape
+    /// versioning. Every other backend commits the write as if the
+    /// transaction were `ReadWrite`.
     ReadOnly,
     /// The transaction may perform transactional writes.
     ReadWrite,

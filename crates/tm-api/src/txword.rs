@@ -195,18 +195,6 @@ impl<T: Word64> TVar<T> {
 /// A transactional pointer to `T`.
 pub type TxPtr<T> = TVar<*mut T>;
 
-/// Encode a possibly-null pointer as a word (`0` = null).
-#[inline(always)]
-pub fn ptr_to_word<T>(p: *mut T) -> u64 {
-    p as usize as u64
-}
-
-/// Decode a word back into a raw pointer.
-#[inline(always)]
-pub fn word_to_ptr<T>(w: u64) -> *mut T {
-    w as usize as *mut T
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -266,13 +254,6 @@ mod tests {
         v.store_direct(9);
         assert_eq!(v.load_direct(), 9);
         assert_eq!(v.word().load_direct(), 9);
-    }
-
-    #[test]
-    fn ptr_helpers_handle_null() {
-        let p: *mut u32 = std::ptr::null_mut();
-        assert_eq!(ptr_to_word(p), 0);
-        assert!(word_to_ptr::<u32>(0).is_null());
     }
 
     #[test]

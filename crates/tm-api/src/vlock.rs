@@ -163,13 +163,6 @@ impl VersionedLock {
             .store(unlocked_word(state_at_acquire.version), Ordering::Release);
     }
 
-    /// Clear only the flag bit while keeping the lock held (not currently used
-    /// by the algorithms but handy for tests and future variants).
-    #[inline]
-    pub fn clear_flag(&self) {
-        self.raw.fetch_and(!FLAG_BIT, Ordering::AcqRel);
-    }
-
     /// Spin until the flag bit is clear, then return the decoded state.
     ///
     /// This is the "reread lock until flag is false" step performed by both

@@ -31,7 +31,7 @@
 //!
 //! ## Memory
 //!
-//! Nodes live in [`STRUCT_POOL`], a process-wide size-classed
+//! Nodes live in `STRUCT_POOL`, a process-wide size-classed
 //! [`ebr::pool::ClassedPool`] (the same sharded, epoch-recycled arena
 //! machinery that backs Multiverse's version nodes): steady-state structure
 //! churn performs **zero** heap allocations (pinned by
@@ -464,7 +464,7 @@ pub unsafe fn deref<'a, T>(word: u64) -> &'a T {
 /// Read helper: `Ok(None)` for null, `Ok(Some(&T))` otherwise.
 ///
 /// # Safety
-/// Same contract as [`deref`].
+/// Same contract as [`deref()`].
 #[inline(always)]
 pub unsafe fn deref_opt<'a, T>(word: u64) -> Option<&'a T> {
     if word == NULL {

@@ -30,7 +30,7 @@
 //!
 //! The cross-thread pipeline state — the global sequence counter, the
 //! per-thread pending buffers and their registry, and the handle ↔
-//! group-commit channel ([`BgShared`]) — lives on the [`tm_api::sync`]
+//! group-commit channel (`BgShared`) — lives on the [`tm_api::sync`]
 //! facade: plain `std::sync` in normal builds, scheduler-instrumented
 //! yield points when the workspace is built with tm-api's `sim` feature.
 //! Combined with [`WalConfig::manual_bg`] (the group-commit loop driven by

@@ -12,6 +12,7 @@
 //! (see TESTING.md).
 
 use harness::{with_backend, BackendVisitor, RuntimeScale, TmKind};
+use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use tm_api::{Abort, TVar, TmHandle, TmRuntime, Transaction, TxKind, TxOutcome};
@@ -168,6 +169,48 @@ impl BackendVisitor for ExplicitAbortVisitor {
     }
 }
 
+/// A write inside a `TxKind::ReadOnly` transaction, then a `ReadWrite`
+/// writer of the same word on a second handle. Multiverse (`refuses`)
+/// panics before taking any lock and leaves the word unchanged; every other
+/// backend commits the write. Either way no stripe lock outlives the first
+/// handle, so the later writer commits within its 1000-attempt budget.
+fn read_only_write_rule<R: TmRuntime>(tm: Arc<R>, refuses: bool) {
+    let name = tm.name();
+    let x = TVar::new(7u64);
+    let first = std::panic::catch_unwind(AssertUnwindSafe(|| {
+        tm.register()
+            .txn_budget(TxKind::ReadOnly, 1000, |tx| tx.write_var(&x, 8))
+    }));
+    if refuses {
+        assert!(first.is_err(), "{name}: a ReadOnly write must panic");
+        assert_eq!(
+            x.load_direct(),
+            7,
+            "{name}: the refused write must not land"
+        );
+    } else {
+        assert_eq!(first.ok(), Some(TxOutcome::Committed(())), "{name}");
+        assert_eq!(x.load_direct(), 8, "{name}: the ReadOnly write commits");
+    }
+    let later = tm
+        .register()
+        .txn_budget(TxKind::ReadWrite, 1000, |tx| tx.write_var(&x, 9));
+    assert_eq!(later, TxOutcome::Committed(()), "{name}: later writer");
+    assert_eq!(x.load_direct(), 9, "{name}");
+    tm.shutdown();
+}
+
+/// Run the ReadOnly-write rule against a backend by registry name.
+struct ReadOnlyWriteVisitor {
+    refuses: bool,
+}
+impl BackendVisitor for ReadOnlyWriteVisitor {
+    type Out = ();
+    fn visit<R: TmRuntime>(self, rt: Arc<R>) {
+        read_only_write_rule(rt, self.refuses);
+    }
+}
+
 /// Run the lockstep probe against a backend by registry name.
 struct LockstepVisitor;
 impl BackendVisitor for LockstepVisitor {
@@ -260,6 +303,17 @@ fn explicit_aborts_follow_one_contract_on_every_backend() {
             "{}: (starts, aborts, gave_up, commits)",
             tm.name()
         );
+    }
+}
+
+#[test]
+fn read_only_writes_follow_one_rule_on_every_backend() {
+    for tm in TmKind::all() {
+        let refuses = matches!(
+            tm,
+            TmKind::Multiverse | TmKind::MultiverseModeQ | TmKind::MultiverseModeU
+        );
+        with_backend(tm, RuntimeScale::Test, ReadOnlyWriteVisitor { refuses });
     }
 }
 
