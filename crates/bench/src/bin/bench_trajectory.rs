@@ -1,8 +1,10 @@
-//! Perf-trajectory runner: executes the `txset` micro-measurements plus the
-//! per-TM micro-op batches (the same shapes as the `txset_microbench` and
-//! `stm_microbench` criterion benches) and writes the medians to
-//! `BENCH_txset.json`, so future PRs can track the hot-path perf curve with
-//! one command:
+//! Perf-trajectory runner, the workspace's one micro-bench path: measures
+//! the `txset` hot-path primitives, the Multiverse substrates below the TM
+//! (`substrate/*`: stripe lock/unlock, bloom add+contains, clock read and
+//! increment, a depth-8 version-list traversal, ebr pin/unpin), per-TM
+//! micro-op batches, the structures and the store front door, and writes
+//! the medians to `BENCH_txset.json`, so future PRs can track the hot-path
+//! perf curve with one command:
 //!
 //! ```text
 //! cargo run --release -p bench --bin bench_trajectory [-- <output-path>] \
@@ -10,7 +12,8 @@
 //! ```
 //!
 //! `--check` compares the fresh numbers against a committed baseline
-//! (default `BENCH_txset.json`) and prints per-entry deltas, flagging
+//! (default `BENCH_txset.json`, read before anything is measured, so the
+//! output may overwrite it) and prints per-entry deltas, flagging
 //! regressions beyond `tolerance` (a fraction, e.g. `0.30` = 30%). The check
 //! is **warn-only**: it never fails the process — micro-benchmarks on shared
 //! CI runners are too noisy to gate on, but the deltas belong in the job log.
@@ -23,6 +26,7 @@
 
 use baselines::{DctlRuntime, NorecRuntime, TinyStmRuntime, Tl2Runtime};
 use harness::Zipf;
+use multiverse::version::{VersionList, VersionNode};
 use multiverse::{MultiverseConfig, MultiverseRuntime};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -30,7 +34,9 @@ use std::hint::black_box;
 use std::sync::Arc;
 use std::time::Instant;
 use tm_api::txset::{StripeReadSet, WriteMap, READ_SET_INLINE};
-use tm_api::{TVar, TmHandle, TmRuntime, Transaction, TxKind, TxWord};
+use tm_api::{
+    BloomTable, GlobalClock, LockTable, TVar, TmHandle, TmRuntime, Transaction, TxKind, TxWord,
+};
 use txstructs::{TxAbTree, TxList, TxSet};
 
 /// Median ns/op across `threads` concurrent workers: per sample, every
@@ -141,6 +147,87 @@ fn txset_measurements(out: &mut Vec<(String, f64)>) {
                 map.insert(w, i as u64);
             }
             map.clear();
+        }),
+    ));
+
+    // Read-mostly shape: the transaction wrote nothing, so every read
+    // probes the redo log and misses, answered from the 64-bit filter.
+    let map = WriteMap::new();
+    out.push((
+        "txset/negative_lookup/write_map_filter_miss".into(),
+        measure(21, 20_000, || {
+            let mut misses = 0u64;
+            for w in &words {
+                if map.lookup(black_box(w)).is_none() {
+                    misses += 1;
+                }
+            }
+            black_box(misses);
+        }),
+    ));
+}
+
+/// The substrates under every Multiverse transaction, one shape each.
+fn substrate_measurements(out: &mut Vec<(String, f64)>) {
+    let locks = LockTable::new(1 << 16);
+    let mut addr = 0usize;
+    out.push((
+        "substrate/lock_table/lock_unlock".into(),
+        measure(21, 20_000, || {
+            addr = addr.wrapping_add(64);
+            let idx = locks.index_of(addr);
+            if let Ok(prev) = locks.lock_at(idx).try_lock(1, false) {
+                locks.lock_at(idx).unlock_restore(prev);
+            }
+        }),
+    ));
+
+    let bloom = BloomTable::new(1 << 16);
+    let mut addr = 0usize;
+    out.push((
+        "substrate/bloom/add_and_contains".into(),
+        measure(21, 20_000, || {
+            addr = addr.wrapping_add(8);
+            bloom.try_add(addr & 0xFFFF, addr);
+            black_box(bloom.contains(addr & 0xFFFF, addr));
+        }),
+    ));
+
+    let clock = GlobalClock::new();
+    out.push((
+        "substrate/clock/read".into(),
+        measure(21, 20_000, || {
+            black_box(clock.read());
+        }),
+    ));
+    out.push((
+        "substrate/clock/increment".into(),
+        measure(21, 20_000, || {
+            black_box(clock.increment());
+        }),
+    ));
+
+    // A list with 8 committed versions; the reader's clock selects the
+    // oldest one, so every traversal walks the full depth. The newer
+    // versions are stamped strictly above the clock: a committed version
+    // stamped at it aborts the traversal.
+    let list = VersionList::with_initial(1, 0);
+    for ts in 3..10u64 {
+        list.push_head(VersionNode::acquire(list.head(), ts, ts, false));
+    }
+    out.push((
+        "substrate/version_list/traverse_depth_8".into(),
+        measure(21, 20_000, || {
+            black_box(list.traverse(2).expect("version 1 is older than clock 2"));
+        }),
+    ));
+
+    let (_collector, mut h) = ebr::new_collector_and_handle();
+    out.push((
+        "substrate/ebr/pin_unpin".into(),
+        measure(21, 20_000, || {
+            h.pin();
+            h.unpin();
         }),
     ));
 }
@@ -564,16 +651,14 @@ fn parse_baseline(text: &str) -> Vec<(String, f64)> {
     out
 }
 
-/// Warn-only regression check against the committed baseline.
-fn check_against_baseline(results: &[(String, f64)], baseline_path: &str, tolerance: f64) {
-    let text = match std::fs::read_to_string(baseline_path) {
-        Ok(t) => t,
-        Err(e) => {
-            println!("--check: cannot read baseline {baseline_path}: {e} (skipping)");
-            return;
-        }
-    };
-    let baseline = parse_baseline(&text);
+/// Warn-only regression check against the baseline entries: prints the
+/// per-entry table and returns each known entry's delta (a fraction).
+fn check_against_baseline(
+    results: &[(String, f64)],
+    baseline: &[(String, f64)],
+    baseline_path: &str,
+    tolerance: f64,
+) -> Vec<(String, f64)> {
     println!(
         "\n--check vs {baseline_path} (tolerance {:.0}%)",
         tolerance * 100.0
@@ -582,7 +667,7 @@ fn check_against_baseline(results: &[(String, f64)], baseline_path: &str, tolera
         "{:<50} {:>10} {:>10} {:>9}",
         "entry", "base", "now", "delta"
     );
-    let mut regressions = 0usize;
+    let mut deltas = Vec::new();
     for (name, now) in results {
         let Some((_, base)) = baseline.iter().find(|(n, _)| n == name) else {
             println!("{name:<50} {:>10} {now:>10.1} {:>9}", "-", "new");
@@ -590,7 +675,6 @@ fn check_against_baseline(results: &[(String, f64)], baseline_path: &str, tolera
         };
         let delta = (now - base) / base;
         let flag = if delta > tolerance {
-            regressions += 1;
             "  WARN: regression"
         } else {
             ""
@@ -599,13 +683,16 @@ fn check_against_baseline(results: &[(String, f64)], baseline_path: &str, tolera
             "{name:<50} {base:>10.1} {now:>10.1} {:>+8.1}%{flag}",
             delta * 100.0
         );
+        deltas.push((name.clone(), delta));
     }
+    let regressions = deltas.iter().filter(|(_, d)| *d > tolerance).count();
     if regressions == 0 {
         println!("--check: no entry regressed beyond the tolerance");
     } else {
         println!("--check: {regressions} entr{} regressed beyond the tolerance (warn-only, not failing the job)",
                  if regressions == 1 { "y" } else { "ies" });
     }
+    deltas
 }
 
 const USAGE: &str =
@@ -687,17 +774,8 @@ fn parse_args(args: &[String]) -> Result<Args, String> {
     Ok(parsed)
 }
 
-fn main() {
-    let raw: Vec<String> = std::env::args().skip(1).collect();
-    let args = match parse_args(&raw) {
-        Ok(a) => a,
-        Err(e) => {
-            eprintln!("bench_trajectory: {e}");
-            eprintln!("{USAGE}");
-            std::process::exit(2);
-        }
-    };
-
+/// Every entry, in output order.
+fn measure_all(sweep: &[usize]) -> Vec<(String, f64)> {
     let mut results: Vec<(String, f64)> = Vec::new();
     txset_measurements(&mut results);
     tm_measurements(
@@ -706,7 +784,7 @@ fn main() {
         &mut results,
     );
     versioned_measurements(&mut results);
-    sweep_measurements(&args.sweep, &mut results);
+    sweep_measurements(sweep, &mut results);
     wal_measurements(&mut results);
     structure_measurements(&mut results);
     server_measurements(&mut results);
@@ -718,7 +796,23 @@ fn main() {
         Arc::new(TinyStmRuntime::with_defaults()),
         &mut results,
     );
+    substrate_measurements(&mut results);
+    results
+}
 
+/// Measure with `measure_all`, write the medians to `args.out_path` and,
+/// under `--check`, return each known entry's delta against the baseline.
+/// The baseline is read before anything is measured or written, because
+/// the output path may be the baseline itself.
+fn run(
+    args: &Args,
+    measure_all: impl FnOnce(&[usize]) -> Vec<(String, f64)>,
+) -> Vec<(String, f64)> {
+    let baseline = args
+        .check_tolerance
+        .map(|_| std::fs::read_to_string(&args.baseline_path).map(|t| parse_baseline(&t)));
+
+    let results = measure_all(&args.sweep);
     for (name, ns) in &results {
         println!("{name:<50} {ns:>10.1} ns/iter");
     }
@@ -732,9 +826,32 @@ fn main() {
     std::fs::write(&args.out_path, json).expect("write benchmark output file");
     println!("\nwrote {}", args.out_path);
 
-    if let Some(tol) = args.check_tolerance {
-        check_against_baseline(&results, &args.baseline_path, tol);
+    match (args.check_tolerance, baseline) {
+        (Some(tol), Some(Ok(baseline))) => {
+            check_against_baseline(&results, &baseline, &args.baseline_path, tol)
+        }
+        (_, Some(Err(e))) => {
+            println!(
+                "--check: cannot read baseline {}: {e} (skipping)",
+                args.baseline_path
+            );
+            Vec::new()
+        }
+        _ => Vec::new(),
     }
+}
+
+fn main() {
+    let raw: Vec<String> = std::env::args().skip(1).collect();
+    let args = match parse_args(&raw) {
+        Ok(a) => a,
+        Err(e) => {
+            eprintln!("bench_trajectory: {e}");
+            eprintln!("{USAGE}");
+            std::process::exit(2);
+        }
+    };
+    run(&args, measure_all);
 }
 
 #[cfg(test)]
@@ -769,6 +886,39 @@ mod tests {
         assert!(parse_args(&strings(&["--check", "inf"])).is_err());
         assert!(parse_args(&strings(&["--baseline"])).is_err());
         assert!(parse_args(&strings(&["--chekc", "0.3"])).is_err());
+    }
+
+    #[test]
+    fn check_in_place_compares_against_the_old_baseline() {
+        // Regression: with the output path equal to the baseline, the fresh
+        // results used to be written first and then compared with
+        // themselves (+0.0% everywhere).
+        let dir = std::env::temp_dir().join(format!("bench-trajectory-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("BENCH_txset.json").display().to_string();
+        std::fs::write(
+            &path,
+            "{\n  \"unit\": \"ns_per_iter\",\n  \"results\": {\n    \"a\": 100.00,\n    \"b\": 40.00\n  }\n}\n",
+        )
+        .unwrap();
+        let args = parse_args(&strings(&[&path, "--check", "0.30", "--baseline", &path])).unwrap();
+        let deltas = run(&args, |_| {
+            vec![("a".into(), 150.0), ("b".into(), 30.0), ("c".into(), 1.0)]
+        });
+        assert_eq!(
+            deltas,
+            vec![("a".to_string(), 0.5), ("b".to_string(), -0.25)]
+        );
+        let written = std::fs::read_to_string(&path).unwrap();
+        assert_eq!(
+            parse_baseline(&written),
+            vec![
+                ("a".to_string(), 150.0),
+                ("b".to_string(), 30.0),
+                ("c".to_string(), 1.0)
+            ]
+        );
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

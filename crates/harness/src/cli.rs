@@ -1,10 +1,11 @@
-//! A tiny dependency-free command-line parser: the figure binaries'
+//! A tiny dependency-free command-line parser: the `figures` binary's
 //! [`BenchArgs`] and (feature `record`) the `harness` binary's subcommands,
 //! both over one flag reader.
 //!
-//! Figure-binary flags:
+//! `figures` flags:
 //!
 //! ```text
+//! --figure fig1,fig6       figures to run, or `all` (names: `figures --help`)
 //! --threads 1,2,4,8        thread counts to sweep
 //! --seconds 5              seconds per trial
 //! --scale 0.1              workload scale factor (1.0 = paper-sized, 1M keys)
@@ -16,6 +17,7 @@
 //! The subcommands' flags are documented on `CheckArgs`, `ExploreArgs` and
 //! `CrashArgs`, and `harness --help` prints them.
 
+use crate::figures::Figure;
 use crate::registry::TmKind;
 use std::fmt::Display;
 use std::str::FromStr;
@@ -109,6 +111,8 @@ fn positive(flag: &str, x: f64) -> Result<f64, String> {
 /// Parsed command-line arguments.
 #[derive(Debug, Clone, Default)]
 pub struct BenchArgs {
+    /// Figures to run, in order.
+    pub figures: Vec<Figure>,
     /// Thread counts to sweep (empty = figure default).
     pub threads: Vec<usize>,
     /// Seconds per trial.
@@ -129,6 +133,7 @@ impl BenchArgs {
         let mut out = BenchArgs::default();
         read_flags(args, |flag, f| {
             match flag {
+                "--figure" => out.figures = f.names(flag, Figure::all, Figure::parse)?,
                 "--threads" => {
                     out.threads = f.list(flag)?;
                     // A zero thread count reaches the trial driver as a
@@ -146,18 +151,25 @@ impl BenchArgs {
                 "--updaters" => out.updaters = Some(f.parse(flag)?),
                 "--tms" => out.tms = Some(f.names(flag, TmKind::all, TmKind::parse)?),
                 "--csv" => out.csv = true,
-                "--help" | "-h" => {
-                    return Err(
-                        "usage: [--threads 1,2,4] [--seconds N] [--scale F] [--updaters N] \
-                         [--tms multiverse,dctl,...] [--csv]"
-                            .to_string(),
-                    )
-                }
+                "--help" | "-h" => return Err(Self::usage()),
                 _ => return Ok(false),
             }
             Ok(true)
         })?;
+        for figure in &out.figures {
+            figure.check_args(&out)?;
+        }
         Ok(out)
+    }
+
+    /// The `figures` usage line, with every figure name.
+    pub fn usage() -> String {
+        let names: Vec<_> = Figure::all().into_iter().map(Figure::name).collect();
+        format!(
+            "usage: figures --figure all|{} [--threads 1,2,4] [--seconds N] [--scale F] \
+             [--updaters N] [--tms multiverse,dctl,...] [--csv]",
+            names.join(",")
+        )
     }
 
     /// Parse from the process arguments, printing an error and exiting on
@@ -488,6 +500,30 @@ mod tests {
         assert_eq!(a.updaters, Some(8));
         assert_eq!(a.tms, Some(vec![TmKind::Multiverse, TmKind::Dctl]));
         assert!(a.csv);
+    }
+
+    #[test]
+    fn figure_takes_all_or_names_and_rejects_dropped_values() {
+        assert_eq!(parse(&["--figure", "all"]).unwrap().figures, Figure::all());
+        let a = parse(&["--figure", "fig3-4,MODES", "--threads", "1,2"]).unwrap();
+        assert_eq!(a.figures, vec![Figure::Fig3_4, Figure::Modes]);
+        assert!(parse(&["--figure", "fig2"]).is_err());
+        // fig7 and fig8 run one thread count and fig7 one TM: a longer
+        // list is an error naming the figure, not silently truncated.
+        for bad in [
+            &["--figure", "fig7", "--threads", "1,2"][..],
+            &["--figure", "fig8", "--threads", "1,2"],
+            &["--figure", "all", "--threads", "1,2"],
+            &["--figure", "fig7", "--tms", "tl2,dctl"],
+        ] {
+            let err = parse(bad).unwrap_err();
+            assert!(
+                err.starts_with("fig7:") || err.starts_with("fig8:"),
+                "{err}"
+            );
+        }
+        assert!(parse(&["--figure", "fig8", "--tms", "tl2,dctl"]).is_ok());
+        assert!(BenchArgs::usage().contains("fig3-4"));
     }
 
     #[test]

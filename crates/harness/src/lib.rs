@@ -81,7 +81,9 @@ pub mod zipf;
 pub use checker::{check_history, History, Report, Violation};
 pub use cli::BenchArgs;
 pub use driver::{run_trial, TrialConfig, TrialResult};
-pub use figures::{default_thread_sweep, print_results, run_sweep, FigurePoint, FigureSpec};
+pub use figures::{
+    default_thread_sweep, print_results, run_sweep, Figure, FigurePoint, FigureSpec,
+};
 pub use oltp::{run_client, run_clients, serve, OltpSpec, OltpStats, ServedStore};
 pub use registry::{run_workload, with_backend, BackendVisitor, RuntimeScale, StructKind, TmKind};
 pub use timevarying::{run_time_varying, Interval, TimeVaryingResult};
@@ -111,9 +113,11 @@ mod tests {
 
     #[test]
     fn every_name_table_round_trips() {
+        use crate::figures::Figure;
         use crate::registry::{StructKind, TmKind};
         assert_names(TmKind::all(), TmKind::name, TmKind::parse);
         assert_names(StructKind::all(), StructKind::name, StructKind::parse);
+        assert_names(Figure::all(), Figure::name, Figure::parse);
         #[cfg(feature = "record")]
         {
             use crate::scenario::ScenarioKind;

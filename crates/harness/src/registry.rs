@@ -1,5 +1,5 @@
-//! Name-based dispatch over the TMs and data structures, so the figure
-//! binaries can iterate `for tm in TmKind::paper_set()` without generics
+//! Name-based dispatch over the TMs and data structures, so the figures
+//! can iterate `for tm in TmKind::paper_set()` without generics
 //! leaking into their `main`s.
 
 use crate::driver::{run_trial, TrialConfig, TrialResult};

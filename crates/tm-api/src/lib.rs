@@ -36,7 +36,6 @@ pub mod backoff;
 pub mod bloom;
 pub mod clock;
 pub mod dctl;
-pub mod fxhash;
 pub mod locktable;
 pub mod padded;
 pub mod record;

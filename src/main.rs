@@ -14,24 +14,22 @@ fn main() {
     println!("  wal         write-ahead log: group commit, checkpoints, recovery");
     println!("  store       keyed KV service with a checksummed protocol and a std-only server");
     println!("  sim         schedule explorer behind the `sim` feature");
-    println!("  bench       per-figure reproduction binaries + TM/substrate micro-benches");
+    println!("  bench       `figures` (the paper's experiments), `bench_trajectory` (micro)");
     println!();
     println!("Examples:   cargo run --release --example quickstart");
     println!("            cargo run --release --example bank");
     println!("            cargo run --release --example range_query_analytics");
     println!("            cargo run --release --example time_varying_modes");
     println!();
-    println!("Figures:    cargo run --release -p bench --bin fig1_teaser -- --help");
-    println!("            (fig1_teaser, fig3_4_access_counts, fig6_abtree, fig7_flawed_workload,");
-    println!("             fig8_time_varying, fig9_memory, fig11_avl, fig12_extbst,");
-    println!("             fig13_hashmap, modes_table)");
+    println!("Figures:    cargo run --release -p bench --bin figures -- --figure all|fig1,...");
+    println!("            (fig1, fig3-4, fig6, fig7, fig8, fig9, fig11, fig12, fig13, modes;");
+    println!("             --help lists the flags)");
     println!();
     println!("Tests:      cargo test --workspace");
     println!("Checkers:   cargo run --release -p harness --features record --bin harness -- check");
     println!("            (`explore` needs --features sim, `crash` --features crashpoint)");
     println!("Benchmark:  cargo run --release --manifest-path benchmark/Cargo.toml -- run --smoke");
-    println!("Benches:    cargo bench -p bench  (stm_microbench, substrate_microbench,");
-    println!("            txset_microbench)");
+    println!("Benches:    cargo run --release -p bench --bin bench_trajectory  (writes BENCH_txset.json)");
     println!("See TESTING.md (checkers and tests), benchmark/README.md (the benchmark)");
     println!("and ROADMAP.md (status and open items).");
 }
