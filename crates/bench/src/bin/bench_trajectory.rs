@@ -43,7 +43,7 @@ use txstructs::{TxAbTree, TxList, TxSet};
 /// worker runs `iters_per_sample` iterations between two barriers and the
 /// wall time of the batch is divided by the total operation count — an
 /// inverse-throughput metric, so cross-thread contention (shared clock,
-/// stripe locks, pool shards) shows up directly. The first batch is warm-up.
+/// stripe locks, the pool's free stack) shows up directly. The first batch is warm-up.
 fn measure_mt<M, F>(threads: usize, samples: usize, iters_per_sample: u64, make_worker: M) -> f64
 where
     M: Fn(usize) -> F + Sync,
@@ -344,7 +344,7 @@ fn versioned_measurements(out: &mut Vec<(String, f64)>) {
 ///
 /// * `version_churn_mixed` — the mixed versioned churn above with the
 ///   runtime shared: version/VLT slots flow continuously between the
-///   threads' pool handles, the profile the sharded free lists target.
+///   threads' pool handles through the pool's shared free stack.
 /// * `zipf_update` — read-modify-write on Zipf(θ=0.9)-skewed keys: the hot
 ///   head keys collide, so this curve is abort-heavy and prices the commit
 ///   clock's abort-path tick under contention.
@@ -545,11 +545,10 @@ fn structure_measurements(out: &mut Vec<(String, f64)>) {
 
     let stats = rt.stats();
     println!(
-        "structs pool_class: allocs={} hits={} misses={} steals={} retires={} recycled={} ({} bytes pooled)",
+        "structs pool_class: allocs={} hits={} misses={} retires={} recycled={} ({} bytes pooled)",
         stats.pool_class_allocs,
         stats.pool_class_hits,
         stats.pool_class_misses,
-        stats.pool_class_steals,
         stats.pool_class_retires,
         stats.pool_class_recycled,
         txstructs::node::pool_total_bytes(),

@@ -13,8 +13,8 @@ use tm_api::CachePadded;
 #[derive(Debug, Default)]
 pub(crate) struct Participant {
     state: CachePadded<AtomicU64>,
-    /// Set when the owning `LocalHandle` is dropped so the slot can be
-    /// ignored (and eventually recycled) by `try_advance`.
+    /// Set when the owning `LocalHandle` is dropped; the next `try_advance`
+    /// scan that reaches the slot drops it from the registry.
     retired_slot: CachePadded<AtomicU64>,
 }
 
@@ -125,20 +125,26 @@ impl Collector {
     /// Try to advance the global epoch. Succeeds only if every pinned
     /// participant is pinned at the current epoch. Returns the (possibly
     /// unchanged) global epoch afterwards.
+    ///
+    /// The same scan drops retired participants, so the registry holds
+    /// only live handles however many come and go. As before, the scan
+    /// reads no slot past the first lagging pin; retired slots behind it
+    /// leave on a later scan.
     pub fn try_advance(&self) -> u64 {
         let cur = self.epoch.load(Ordering::SeqCst);
-        {
-            let parts = self.participants.lock().unwrap();
-            for p in parts.iter() {
-                if p.is_retired() {
-                    continue;
-                }
-                if let Some(e) = p.pinned_epoch() {
-                    if e != cur {
-                        return cur;
-                    }
-                }
+        let mut lagging = false;
+        self.participants.lock().unwrap().retain(|p| {
+            if lagging {
+                return true;
             }
+            if p.is_retired() {
+                return false;
+            }
+            lagging = p.pinned_epoch().is_some_and(|e| e != cur);
+            true
+        });
+        if lagging {
+            return cur;
         }
         // Every pinned thread has observed `cur`; it is safe to advance.
         let _ = self
@@ -227,6 +233,22 @@ mod tests {
         p.mark_retired();
         let e = c.epoch();
         assert_eq!(c.try_advance(), e + 1);
+    }
+
+    #[test]
+    fn dropped_handles_leave_the_registry() {
+        let c = std::sync::Arc::new(Collector::new());
+        let live = crate::LocalHandle::new(std::sync::Arc::clone(&c));
+        for _ in 0..1000 {
+            drop(crate::LocalHandle::new(std::sync::Arc::clone(&c)));
+        }
+        c.try_advance();
+        let registered = c.participants.lock().unwrap().len();
+        assert_eq!(
+            registered, 1,
+            "retired participants must leave the registry"
+        );
+        drop(live);
     }
 
     #[test]

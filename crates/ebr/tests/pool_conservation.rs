@@ -1,16 +1,12 @@
-//! Stress test for the sharded node pool: multi-thread alloc/retire churn
-//! with the shard count forced to 4 (so the sharded paths are exercised even
-//! on single-core runners), checking the accounting invariants end to end:
+//! Stress test for the node pool: 4-thread alloc/retire churn, checking the
+//! accounting invariants end to end:
 //!
 //! * every allocation is classified as exactly one hit or miss
-//!   (`allocs == hits + misses`; steals count the *slots* each cross-shard
-//!   drain adopted, so `steals` can exceed the number of stealing allocs
-//!   but never the hit total),
+//!   (`allocs == hits + misses`),
 //! * nothing is recycled that was not first retired
 //!   (`recycled <= retires`, with equality once the collector drains),
 //! * no slot is lost: after the churn quiesces, every slot ever grown is
-//!   back on some shard's free list,
-//! * the steal path is actually taken (`steals > 0`).
+//!   back on the free stack.
 //!
 //! Slots are stamped with their owner while held, so a free list handing one
 //! slot to two owners at once fails deterministically.
@@ -20,12 +16,12 @@ use ebr::{Collector, LocalHandle};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-static POOL: NodePool = NodePool::with_shards(CACHE_LINE, 4);
+static POOL: NodePool = NodePool::new(CACHE_LINE);
 
 static RECYCLES: AtomicU64 = AtomicU64::new(0);
 
 /// EBR destructor recycling a retired slot into the pool, as the Multiverse
-/// arena does (`push` routes to the retiring thread's home shard).
+/// arena does.
 unsafe fn recycle_slot(p: *mut u8) {
     POOL.note_recycled(1);
     RECYCLES.fetch_add(1, Ordering::Relaxed);
@@ -38,7 +34,6 @@ struct Counts {
     allocs: u64,
     hits: u64,
     misses: u64,
-    steals: u64,
     retires: u64,
 }
 
@@ -46,20 +41,14 @@ fn classify(counts: &mut Counts, src: SlotSource) {
     counts.allocs += 1;
     match src {
         SlotSource::Hit => counts.hits += 1,
-        SlotSource::Steal(batch) => {
-            assert!(batch >= 1, "a steal adopts at least the returned slot");
-            counts.hits += 1;
-            counts.steals += batch as u64;
-        }
         SlotSource::Miss => counts.misses += 1,
     }
 }
 
 #[test]
-fn sharded_churn_conserves_slots_and_takes_the_steal_path() {
+fn churn_conserves_slots() {
     const THREADS: u64 = 4;
     const ITERS: u64 = 20_000;
-    assert_eq!(POOL.shard_count(), 4);
 
     let collector = Arc::new(Collector::new());
     let mut totals = Counts::default();
@@ -117,7 +106,6 @@ fn sharded_churn_conserves_slots_and_takes_the_steal_path() {
             totals.allocs += c.allocs;
             totals.hits += c.hits;
             totals.misses += c.misses;
-            totals.steals += c.steals;
             totals.retires += c.retires;
         }
     });
@@ -157,7 +145,7 @@ fn sharded_churn_conserves_slots_and_takes_the_steal_path() {
     );
 
     // No slot lost: the pool is quiescent (threads joined, garbage drained),
-    // so every slot ever grown must be back on some shard's free list.
+    // so every slot ever grown must be back on the free stack.
     let total_slots = POOL.total_bytes() / POOL.slot_bytes();
     // Safety: the pool is quiescent here.
     let free = unsafe { POOL.free_slot_count() };
@@ -165,28 +153,4 @@ fn sharded_churn_conserves_slots_and_takes_the_steal_path() {
         free, total_slots,
         "slots were lost (or duplicated) in the churn"
     );
-
-    // Steal path: drain one handle's home shard, then keep allocating — with
-    // every slot back on the shards, the refill after the home runs dry must
-    // steal from a sibling (a miss would mean the pool grew instead).
-    let mut thief = PoolHandle::new(&POOL);
-    let mut steals = totals.steals;
-    let mut borrowed = Vec::new();
-    for _ in 0..total_slots {
-        let (p, src) = thief.alloc();
-        borrowed.push(p);
-        match src {
-            SlotSource::Steal(batch) => {
-                steals += batch as u64;
-                break;
-            }
-            SlotSource::Miss => panic!("refill grew the pool while sibling shards held slots"),
-            SlotSource::Hit => {}
-        }
-    }
-    assert!(steals > 0, "the steal path was never taken");
-    for p in borrowed {
-        // Safety: exclusively owned, freed once.
-        unsafe { thief.free(p) };
-    }
 }

@@ -1,10 +1,9 @@
-//! Property tests for the sharded node pool: home-shard assignment covers
-//! every shard across handle registrations, and arbitrary alloc/free
-//! interleavings (exercising the batched spill/refill and steal paths)
-//! round-trip slots without duplication or loss, with a `HashSet` of slot
-//! addresses as the oracle. The size-classed pool family gets the same
-//! treatment plus a cross-class-bleed oracle: once an address belongs to a
-//! class, only that class may ever serve it again.
+//! Property tests for the node pool: arbitrary alloc/free interleavings
+//! (exercising the batched spill/refill paths) round-trip slots without
+//! duplication or loss, with a `HashSet` of slot addresses as the oracle.
+//! The size-classed pool family gets the same treatment plus a
+//! cross-class-bleed oracle: once an address belongs to a class, only that
+//! class may ever serve it again.
 //!
 //! Pools are `Box::leak`ed per case: `PoolHandle` requires a `'static` pool
 //! (as the real arena is), and pool memory is never returned to the OS by
@@ -14,50 +13,31 @@ use ebr::pool::{ClassedHandle, ClassedPool, NodePool, PoolHandle, CACHE_LINE};
 use proptest::prelude::*;
 use std::collections::{HashMap, HashSet};
 
-fn leaked_pool(shards: usize) -> &'static NodePool {
-    Box::leak(Box::new(NodePool::with_shards(CACHE_LINE, shards)))
+fn leaked_pool() -> &'static NodePool {
+    Box::leak(Box::new(NodePool::new(CACHE_LINE)))
 }
 
 /// Size classes mirroring the `txstructs::node` arena's spread.
 const CLASS_SIZES: [usize; 3] = [64, 128, 256];
 
-fn leaked_classed_pool(shards: usize) -> &'static ClassedPool<3> {
-    Box::leak(Box::new(ClassedPool::with_shards(CLASS_SIZES, shards)))
+fn leaked_classed_pool() -> &'static ClassedPool<3> {
+    Box::leak(Box::new(ClassedPool::new(CLASS_SIZES)))
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Registration assigns home shards round-robin: as soon as at least
-    /// `shards` handles exist, every shard index is someone's home.
-    #[test]
-    fn home_shard_assignment_covers_every_shard(
-        shards in 1usize..=16,
-        extra in 0usize..24,
-    ) {
-        let pool = leaked_pool(shards);
-        prop_assert_eq!(pool.shard_count(), shards);
-        let handles: Vec<PoolHandle> =
-            (0..shards + extra).map(|_| PoolHandle::new(pool)).collect();
-        let homes: HashSet<usize> = handles.iter().map(|h| h.home_shard()).collect();
-        prop_assert_eq!(homes, (0..shards).collect::<HashSet<usize>>());
-        for h in &handles {
-            prop_assert!(h.home_shard() < shards, "home shard out of range");
-        }
-    }
-
     /// Arbitrary alloc/free interleavings across several handles of one
-    /// sharded pool: no slot is ever handed to two owners at once (HashSet
+    /// pool: no slot is ever handed to two owners at once (HashSet
     /// oracle over slot addresses), and once everything is freed, every slot
-    /// the pool ever grew is back on exactly one free list (no loss, no
-    /// duplication through the batched spill/refill and steal paths).
+    /// the pool ever grew is back on the free stack (no loss, no
+    /// duplication through the batched spill/refill paths).
     #[test]
     fn spill_refill_round_trips_slots_without_duplication(
-        shards in 1usize..=8,
         nhandles in 1usize..=3,
         ops in prop::collection::vec((any::<bool>(), 0usize..3, 0usize..1024), 1..400),
     ) {
-        let pool = leaked_pool(shards);
+        let pool = leaked_pool();
         let mut handles: Vec<PoolHandle> =
             (0..nhandles).map(|_| PoolHandle::new(pool)).collect();
         let mut held: Vec<*mut u8> = Vec::new();
@@ -70,7 +50,7 @@ proptest! {
                 held.push(p);
             } else {
                 // Free through a (possibly) different handle than allocated,
-                // crossing shards and exercising spills.
+                // exercising spills.
                 let p = held.swap_remove(pick % held.len());
                 out.remove(&(p as usize));
                 // Safety: `p` was handed out exactly once and is freed once.
@@ -82,9 +62,9 @@ proptest! {
             unsafe { handles[0].free(p) };
         }
         drop(handles);
-        // Conservation: every grown slot sits on exactly one free list. A
-        // lost slot makes the count short; a duplicated one makes it long
-        // (it is counted once per list position).
+        // Conservation: every grown slot sits on the free stack. A lost slot
+        // makes the count short; a duplicated one makes it long (it is
+        // counted once per stack position).
         let total = pool.total_bytes() / pool.slot_bytes();
         // Safety: no concurrent pool users — the walk is quiescent.
         prop_assert_eq!(unsafe { pool.free_slot_count() }, total);
@@ -95,15 +75,14 @@ proptest! {
     /// two owners at once (HashSet-of-addresses oracle), no address is ever
     /// served by a different class than the one that grew it (cross-class
     /// bleed oracle), and once everything is freed, every class conserves
-    /// its slots on its own free lists.
+    /// its slots on its own free stack.
     #[test]
     fn classed_alloc_free_round_trips_without_cross_class_bleed(
-        shards in 1usize..=4,
         nhandles in 1usize..=3,
         ops in prop::collection::vec(
             (any::<bool>(), 0usize..3, 0usize..3, 0usize..1024), 1..300),
     ) {
-        let pool = leaked_classed_pool(shards);
+        let pool = leaked_classed_pool();
         let mut handles: Vec<ClassedHandle<3>> =
             (0..nhandles).map(|_| ClassedHandle::new(pool)).collect();
         let mut held: Vec<(usize, *mut u8)> = Vec::new();
@@ -123,7 +102,7 @@ proptest! {
                 held.push((class, p));
             } else {
                 // Free through a (possibly) different handle than allocated,
-                // crossing shards and exercising per-class spills.
+                // exercising per-class spills.
                 let (c, p) = held.swap_remove(pick % held.len());
                 out.remove(&(p as usize));
                 // Safety: `p` was handed out exactly once and is freed once,
@@ -137,7 +116,7 @@ proptest! {
         }
         drop(handles);
         // Per-class slot conservation: each class's grown slots all sit on
-        // that class's free lists — short means lost, long means duplicated
+        // that class's free stack — short means lost, long means duplicated
         // or adopted from another class.
         for class in 0..CLASS_SIZES.len() {
             let p = pool.pool(class);

@@ -10,14 +10,6 @@
 //! one line, so version/unversion churn recycles slots *between* the two
 //! types). Steady-state versioned transactions allocate nothing.
 //!
-//! The pool's free lists are **sharded per core group** (see `ebr::pool`;
-//! `MULTIVERSE_POOL_SHARDS` overrides the shard count). Each descriptor's
-//! `PoolHandle` is assigned a home shard at registration, and the EBR
-//! recycle destructors below route every slot to the *retiring thread's*
-//! home shard (the `push` thread-local hint), so the
-//! allocate → retire → grace → recycle round trip of one worker stays on
-//! one free list; cross-shard traffic only happens when a dry shard steals.
-//!
 //! ## Safety argument: why recycled nodes can never be confused with live ones
 //!
 //! 1. **Retire-before-recycle.** A slot only re-enters the pool through one
@@ -58,17 +50,8 @@
 //! 4. **No pointer CAS on node fields.** Recycling introduces an ABA hazard
 //!    only for lock-free CAS on pointers into recycled memory. All version
 //!    list and VLT mutation happens under stripe locks with plain stores;
-//!    readers only load. (The pool's own free lists are CAS-push/
+//!    readers only load. (The pool's own free stack is CAS-push/
 //!    swap-detach, which is ABA-immune — see `ebr::pool`.)
-//! 5. **Sharding changes none of the above.** Points 1–4 are entirely about
-//!    *when* a slot may re-enter a free list (after the grace period, or
-//!    never published) and *how* it is re-published (init under the stripe
-//!    lock, Release store). *Which* shard's free list holds a free slot is
-//!    invisible to readers — the grace period already severed every path to
-//!    it — and shard-to-shard movement (a refill stealing a sibling's
-//!    stack) only ever moves slots that are free. In particular the clock
-//!    gate of point 2 is untouched: `flush_superseded` gates the *retire*,
-//!    which precedes any shard choice by a full grace period.
 //!
 //! In debug builds, recycled nodes are **poisoned** (timestamp/address set to
 //! [`POISON_TS`]/`POISON_ADDR`) right before they re-enter the pool, and the
@@ -78,7 +61,7 @@
 
 use crate::version::VersionNode;
 use crate::vlt::VltNode;
-use ebr::pool::{ClassedPool, NodePool, PoolHandle};
+use ebr::pool::{NodePool, PoolHandle};
 use std::sync::atomic::Ordering;
 
 /// Size of one pooled slot. Both node types fit in a single cache line; the
@@ -94,23 +77,16 @@ pub const POISON_TS: u64 = 0xF5F5_F5F5_F5F5_F5F5;
 /// Address written into a VLT node when it is recycled (debug builds).
 pub const POISON_ADDR: usize = 0xF5F5_F5F5_F5F5_F5F5_u64 as usize;
 
-/// The process-wide node pool backing every Multiverse runtime: the
-/// single-class instance of the generalized size-classed arena (both
-/// version-node types fit one 64-byte class; the transactional structures'
-/// multi-class arena lives in `txstructs::node` on the same machinery).
+/// The process-wide node pool backing every Multiverse runtime (both
+/// version-node types fit one 64-byte slot; the transactional structures'
+/// size-classed arena lives in `txstructs::node` on the same machinery).
 ///
 /// Being a `static` keeps the EBR destructors context-free (`unsafe
 /// fn(*mut u8)`) and makes the pool outlive any orphaned garbage a dropped
 /// collector may still hold. The trade-off is that pool-level metrics
 /// ([`total_pool_bytes`], [`recycled_count`]) are process-wide; the figure
 /// runners execute one TM at a time, so the numbers stay attributable.
-static NODE_ARENA: ClassedPool<1> = ClassedPool::new([NODE_SLOT_BYTES]);
-
-/// The version-node class of [`NODE_ARENA`].
-#[inline]
-fn node_pool() -> &'static NodePool {
-    NODE_ARENA.pool(0)
-}
+static NODE_ARENA: NodePool = NodePool::new(NODE_SLOT_BYTES);
 
 const _: () = {
     assert!(std::mem::size_of::<VersionNode>() <= NODE_SLOT_BYTES);
@@ -121,17 +97,17 @@ const _: () = {
 
 /// A per-descriptor allocation handle onto the shared pool.
 pub(crate) fn pool_handle() -> PoolHandle {
-    PoolHandle::new(node_pool())
+    PoolHandle::new(&NODE_ARENA)
 }
 
 /// Total bytes the pool holds (live + EBR-pending + free), process-wide.
 pub fn total_pool_bytes() -> usize {
-    node_pool().total_bytes()
+    NODE_ARENA.total_bytes()
 }
 
 /// Nodes recycled into the pool after their grace period, process-wide.
 pub fn recycled_count() -> u64 {
-    node_pool().recycled_count()
+    NODE_ARENA.recycled_count()
 }
 
 /// Initialise a pooled slot as a [`VersionNode`].
@@ -171,7 +147,7 @@ pub(crate) fn acquire_version_node(
     data: u64,
     tbd: bool,
 ) -> *mut VersionNode {
-    let p = node_pool().alloc_cold() as *mut VersionNode;
+    let p = NODE_ARENA.alloc_cold() as *mut VersionNode;
     // Safety: fresh exclusive slot of sufficient size/alignment.
     unsafe { init_version_node(p, older, timestamp, data, tbd) };
     p
@@ -182,7 +158,7 @@ pub(crate) fn acquire_version_node(
 #[cfg(test)]
 pub(crate) fn acquire_vlt_node(addr: usize, timestamp: u64, data: u64) -> *mut VltNode {
     let initial = acquire_version_node(std::ptr::null_mut(), timestamp, data, false);
-    let p = node_pool().alloc_cold() as *mut VltNode;
+    let p = NODE_ARENA.alloc_cold() as *mut VltNode;
     // Safety: fresh exclusive slot.
     unsafe { init_vlt_node(p, addr, initial) };
     p
@@ -220,7 +196,7 @@ fn poison_vlt(p: *mut VltNode) {
 pub(crate) unsafe fn release_version_node(p: *mut VersionNode) {
     poison_version(p);
     // Safety: forwarded contract.
-    unsafe { node_pool().push(p as *mut u8) };
+    unsafe { NODE_ARENA.push(p as *mut u8) };
 }
 
 /// Release a VLT node and (if present) its version-list head into the pool
@@ -238,7 +214,7 @@ pub(crate) unsafe fn release_vlt_node(p: *mut VltNode) {
     }
     poison_vlt(p);
     // Safety: forwarded contract.
-    unsafe { node_pool().push(p as *mut u8) };
+    unsafe { NODE_ARENA.push(p as *mut u8) };
 }
 
 /// EBR destructor recycling a single retired [`VersionNode`] into the pool.
@@ -248,9 +224,9 @@ pub(crate) unsafe fn release_vlt_node(p: *mut VltNode) {
 /// on a pointer originally produced by this arena.
 pub(crate) unsafe fn recycle_version_node(p: *mut u8) {
     poison_version(p as *mut VersionNode);
-    node_pool().note_recycled(1);
+    NODE_ARENA.note_recycled(1);
     // Safety: grace period elapsed (destructor contract).
-    unsafe { node_pool().push(p) };
+    unsafe { NODE_ARENA.push(p) };
 }
 
 /// EBR destructor recycling a whole detached VLT bucket chain — the nodes
@@ -272,16 +248,16 @@ pub(crate) unsafe fn recycle_vlt_chain(p: *mut u8) {
         if !head.is_null() {
             poison_version(head);
             // Safety: the head was owned by this (detached) list.
-            unsafe { node_pool().push(head as *mut u8) };
+            unsafe { NODE_ARENA.push(head as *mut u8) };
             n += 1;
         }
         poison_vlt(cur);
         // Safety: as above.
-        unsafe { node_pool().push(cur as *mut u8) };
+        unsafe { NODE_ARENA.push(cur as *mut u8) };
         n += 1;
         cur = next;
     }
-    node_pool().note_recycled(n);
+    NODE_ARENA.note_recycled(n);
 }
 
 #[cfg(test)]

@@ -293,20 +293,14 @@ impl MultiverseTx {
     // ------------------------------------------------------------------
 
     /// Allocate an arena slot through the per-thread pool handle, tracking
-    /// hit/miss/steal statistics.
+    /// hit/miss statistics.
     #[inline]
     fn alloc_slot(&mut self) -> *mut u8 {
         let (p, src) = self.pool.alloc();
         // `pool_allocs` is derived as hits + misses in the stats snapshot;
-        // no third counter bump on this hot path. A steal is a hit (recycled
-        // memory) plus the number of slots the cross-shard drain adopted
-        // (the batch; see the `pool_steals` counter doc).
+        // no third counter bump on this hot path.
         match src {
             SlotSource::Hit => self.stats.pool_hits.inc(),
-            SlotSource::Steal(batch) => {
-                self.stats.pool_hits.inc();
-                self.stats.pool_steals.add(batch as u64);
-            }
             SlotSource::Miss => self.stats.pool_misses.inc(),
         }
         p

@@ -135,14 +135,6 @@ stat_counters! {
     pool_misses,
     /// Nodes recycled into the pool after their EBR grace period.
     pool_recycled,
-    /// Version/VLT node slots adopted from a *sibling* shard's free list
-    /// because the handle's home shard was empty. Counted in slots, not
-    /// steal events: a refill that drains a sibling wholesale contributes
-    /// the whole batch (the triggering alloc plus the chain it adopted into
-    /// the reserve), so single-slot and batched steals weigh the same.
-    /// The triggering slot also counts as a `pool_hit`; the adopted
-    /// remainder surfaces as `pool_hits` when later allocs consume it.
-    pool_steals,
     /// Commit-clock advances attempted by this thread (the deferred-clock
     /// abort path and the supersede-queue force tick). Coalesced ticks —
     /// where another thread had already advanced the clock past the
@@ -164,6 +156,9 @@ stat_counters! {
     // Process-wide counters: snapshot-only fields, no per-thread storage
     // (filled by `StatsRegistry::snapshot` from `struct_pool_counters`).
     process_wide:
+    /// Always 0: the version-node pool has one free stack, so there is no
+    /// sibling to steal from. Kept because `mvbench` reports it.
+    pool_steals,
     /// Structure-node allocations served by the size-classed arena
     /// (`txstructs::node`), all classes. Derived as hits + misses at
     /// snapshot time — see the doc on [`StructPoolCounters`].
@@ -172,9 +167,8 @@ stat_counters! {
     pool_class_hits,
     /// Structure-node allocations that grew a size-class slab.
     pool_class_misses,
-    /// Structure-node slots adopted by cross-shard steals (counted per
-    /// slot, like `pool_steals`: a wholesale drain contributes its whole
-    /// batch).
+    /// Always 0: each size class has one free stack, so there is no
+    /// sibling to steal from. Kept because `mvbench` reports it.
     pool_class_steals,
     /// Structure-node retires *deferred* by transaction attempts. Counted at
     /// defer time, so an aborted attempt's revoked retires are included —
@@ -215,7 +209,7 @@ stat_counters! {
 /// folds them into each snapshot's `pool_class_*` fields. The figure
 /// runners execute one TM at a time, so the numbers stay attributable.
 ///
-/// The allocation counters (hits/misses/steals) are batched: the allocator
+/// The allocation counters (hits/misses) are batched: the allocator
 /// accumulates them in its thread-local cache and flushes in batches (plus
 /// once on thread exit), keeping locked RMWs off the per-operation path.
 /// Retires and recycles are published immediately — a retire's defer always
@@ -223,13 +217,10 @@ stat_counters! {
 /// `recycled <= retires` true in every snapshot.
 #[derive(Debug, Default)]
 pub struct StructPoolCounters {
-    /// Allocations served from recycled slots (includes steals).
+    /// Allocations served from recycled slots.
     pub hits: AtomicU64,
     /// Allocations served from fresh slab memory.
     pub misses: AtomicU64,
-    /// Slots adopted from sibling shards by cross-shard steals (counted per
-    /// slot: a wholesale drain contributes its whole batch).
-    pub steals: AtomicU64,
     /// Retires deferred by transaction attempts (counted at defer time;
     /// includes retires later revoked by an abort — see the
     /// `pool_class_retires` counter doc).
@@ -241,7 +232,6 @@ pub struct StructPoolCounters {
 static STRUCT_POOL_COUNTERS: StructPoolCounters = StructPoolCounters {
     hits: AtomicU64::new(0),
     misses: AtomicU64::new(0),
-    steals: AtomicU64::new(0),
     retires: AtomicU64::new(0),
     recycled: AtomicU64::new(0),
 };
@@ -352,7 +342,6 @@ impl StatsRegistry {
         let sp = struct_pool_counters();
         total.pool_class_hits += sp.hits.load(Ordering::Relaxed);
         total.pool_class_misses += sp.misses.load(Ordering::Relaxed);
-        total.pool_class_steals += sp.steals.load(Ordering::Relaxed);
         total.pool_class_retires += sp.retires.load(Ordering::Relaxed);
         total.pool_class_recycled += sp.recycled.load(Ordering::Relaxed);
         total.pool_class_allocs = total.pool_class_hits + total.pool_class_misses;

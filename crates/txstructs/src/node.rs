@@ -32,18 +32,17 @@
 //! ## Memory
 //!
 //! Nodes live in `STRUCT_POOL`, a process-wide size-classed
-//! [`ebr::pool::ClassedPool`] (the same sharded, epoch-recycled arena
-//! machinery that backs Multiverse's version nodes): steady-state structure
-//! churn performs **zero** heap allocations (pinned by
+//! [`ebr::pool::ClassedPool`] (the same epoch-recycled arena machinery that
+//! backs Multiverse's version nodes): steady-state structure churn performs
+//! **zero** heap allocations (pinned by
 //! `crates/txstructs/tests/struct_alloc.rs`). Allocation goes through a
-//! per-thread [`ebr::pool::ClassedHandle`]; frees route to the freeing
-//! thread's home shard. Aborted transactions return never-published slots
-//! to the pool immediately; committed removals retire slots through EBR and
-//! recycle them after the grace period, with the reclamation safety
-//! argument of `ebr::pool` / `multiverse::arena` unchanged. Pool traffic is
-//! counted into the process-wide `pool_class_*` stats
-//! ([`tm_api::stats::struct_pool_counters`]), flushed in batches off the
-//! hot path.
+//! per-thread [`ebr::pool::ClassedHandle`]. Aborted transactions return
+//! never-published slots to the pool immediately; committed removals retire
+//! slots through EBR and recycle them after the grace period, with the
+//! reclamation safety argument of `ebr::pool` / `multiverse::arena`
+//! unchanged. Pool traffic is counted into the process-wide `pool_class_*`
+//! stats ([`tm_api::stats::struct_pool_counters`]), flushed in batches off
+//! the hot path.
 
 use ebr::pool::{class_for_size, ClassedHandle, ClassedPool, SlotSource, CACHE_LINE};
 use std::cell::RefCell;
@@ -97,7 +96,6 @@ struct NodeCache {
     handle: ClassedHandle<CLASS_COUNT>,
     hits: u64,
     misses: u64,
-    steals: u64,
     pending: u64,
 }
 
@@ -107,7 +105,6 @@ impl NodeCache {
             handle: ClassedHandle::new(&STRUCT_POOL),
             hits: 0,
             misses: 0,
-            steals: 0,
             pending: 0,
         }
     }
@@ -120,12 +117,8 @@ impl NodeCache {
         if self.misses != 0 {
             sp.misses.fetch_add(self.misses, Ordering::Relaxed);
         }
-        if self.steals != 0 {
-            sp.steals.fetch_add(self.steals, Ordering::Relaxed);
-        }
         self.hits = 0;
         self.misses = 0;
-        self.steals = 0;
         self.pending = 0;
     }
 
@@ -133,13 +126,6 @@ impl NodeCache {
     fn note(&mut self, src: SlotSource) {
         match src {
             SlotSource::Hit => self.hits += 1,
-            SlotSource::Steal(batch) => {
-                // The triggering alloc is a hit; the steal counter weighs
-                // the whole adopted batch so wholesale drains and
-                // single-slot steals are comparable (see `pool_class_steals`).
-                self.hits += 1;
-                self.steals += batch as u64;
-            }
             SlotSource::Miss => self.misses += 1,
         }
         self.pending += 1;
@@ -403,7 +389,6 @@ fn release_dtor<N: TxNodeInit>() -> unsafe fn(*mut u8) {
 fn recycle_dtor<N: TxNodeInit>() -> unsafe fn(*mut u8) {
     unsafe fn recycle<N: TxNodeInit>(p: *mut u8) {
         poison_slot::<N>(p);
-        STRUCT_POOL.pool(class_of::<N>()).note_recycled(1);
         tm_api::stats::struct_pool_counters()
             .recycled
             .fetch_add(1, Ordering::Relaxed);
@@ -551,7 +536,7 @@ mod tests {
         });
         assert!(!out.is_committed());
         // The aborted transaction's slot was pushed back onto class 2's
-        // shard free lists (the rest of its slab sits in the thread-local
+        // free stack (the rest of its slab sits in the thread-local
         // handle's private fresh chain, which `alloc_cold` cannot see), so
         // the eager alloc below must serve that very slot without growing
         // the class — a leaked abort slot would force `grow_one` here.
