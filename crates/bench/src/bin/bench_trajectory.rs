@@ -615,8 +615,7 @@ fn server_measurements(out: &mut Vec<(String, f64)>) {
 
     drop(c);
     let report = served.finish();
-    use std::sync::atomic::Ordering::Relaxed;
-    let sc = tm_api::stats::store_counters();
+    let p = tm_api::stats::process_stats();
     println!(
         "server counters: connections={} requests={} batches={} protocol_errors={} \
          (process-wide {}/{}/{}/{})",
@@ -624,10 +623,10 @@ fn server_measurements(out: &mut Vec<(String, f64)>) {
         report.requests,
         report.batches,
         report.protocol_errors,
-        sc.connections.load(Relaxed),
-        sc.requests.load(Relaxed),
-        sc.batches.load(Relaxed),
-        sc.protocol_errors.load(Relaxed),
+        p.store_connections.get(),
+        p.store_requests.get(),
+        p.store_batches.get(),
+        p.store_protocol_errors.get(),
     );
 }
 

@@ -69,7 +69,7 @@
 
 use std::alloc::{alloc, handle_alloc_error, Layout};
 use std::ptr;
-use tm_api::sync::{AtomicPtr, AtomicU64, AtomicUsize, Ordering};
+use tm_api::sync::{AtomicPtr, AtomicUsize, Ordering};
 use tm_api::CachePadded;
 
 /// Slot alignment: one slot per cache line.
@@ -104,8 +104,6 @@ pub struct NodePool {
     /// Slots ever requested from the system allocator (never decremented:
     /// pool memory is not returned to the OS while the process lives).
     total_slots: AtomicUsize,
-    /// Nodes recycled into the pool through an EBR retire destructor.
-    recycled: AtomicU64,
 }
 
 impl NodePool {
@@ -122,7 +120,6 @@ impl NodePool {
             slot_bytes,
             head: CachePadded::new(AtomicPtr::new(ptr::null_mut())),
             total_slots: AtomicUsize::new(0),
-            recycled: AtomicU64::new(0),
         }
     }
 
@@ -137,17 +134,6 @@ impl NodePool {
     /// honest process-level footprint of the pool.
     pub fn total_bytes(&self) -> usize {
         self.total_slots.load(Ordering::Relaxed) * self.slot_bytes
-    }
-
-    /// Number of nodes recycled into the pool via EBR destructors.
-    pub fn recycled_count(&self) -> u64 {
-        self.recycled.load(Ordering::Relaxed)
-    }
-
-    /// Record `n` nodes recycled through an EBR retire destructor (called by
-    /// the destructor itself, alongside [`Self::push`]).
-    pub fn note_recycled(&self, n: u64) {
-        self.recycled.fetch_add(n, Ordering::Relaxed);
     }
 
     /// Count the slots currently sitting on the free stack.

@@ -23,7 +23,6 @@ static RECYCLES: AtomicU64 = AtomicU64::new(0);
 /// EBR destructor recycling a retired slot into the pool, as the Multiverse
 /// arena does.
 unsafe fn recycle_slot(p: *mut u8) {
-    POOL.note_recycled(1);
     RECYCLES.fetch_add(1, Ordering::Relaxed);
     // Safety: destructor contract — the grace period has elapsed.
     unsafe { POOL.push(p) };
@@ -122,9 +121,9 @@ fn churn_conserves_slots() {
         "churn must have retired slots through EBR"
     );
     assert!(
-        POOL.recycled_count() <= totals.retires,
+        RECYCLES.load(Ordering::Relaxed) <= totals.retires,
         "recycles ({}) cannot outnumber retirements ({})",
-        POOL.recycled_count(),
+        RECYCLES.load(Ordering::Relaxed),
         totals.retires
     );
 
@@ -139,7 +138,7 @@ fn churn_conserves_slots() {
     }
     assert_eq!(collector.pending_bytes(), 0, "collector failed to drain");
     assert_eq!(
-        POOL.recycled_count(),
+        RECYCLES.load(Ordering::Relaxed),
         totals.retires,
         "after the drain every retired slot must have been recycled"
     );

@@ -63,6 +63,7 @@ use crate::version::VersionNode;
 use crate::vlt::VltNode;
 use ebr::pool::{NodePool, PoolHandle};
 use std::sync::atomic::Ordering;
+use tm_api::stats::process_stats;
 
 /// Size of one pooled slot. Both node types fit in a single cache line; the
 /// Fig. 9 memory accounting counts this (the real footprint), not
@@ -84,8 +85,8 @@ pub const POISON_ADDR: usize = 0xF5F5_F5F5_F5F5_F5F5_u64 as usize;
 /// Being a `static` keeps the EBR destructors context-free (`unsafe
 /// fn(*mut u8)`) and makes the pool outlive any orphaned garbage a dropped
 /// collector may still hold. The trade-off is that pool-level metrics
-/// ([`total_pool_bytes`], [`recycled_count`]) are process-wide; the figure
-/// runners execute one TM at a time, so the numbers stay attributable.
+/// ([`total_pool_bytes`], the `pool_recycled` row) are process-wide; the
+/// figure runners execute one TM at a time, so the numbers stay attributable.
 static NODE_ARENA: NodePool = NodePool::new(NODE_SLOT_BYTES);
 
 const _: () = {
@@ -103,11 +104,6 @@ pub(crate) fn pool_handle() -> PoolHandle {
 /// Total bytes the pool holds (live + EBR-pending + free), process-wide.
 pub fn total_pool_bytes() -> usize {
     NODE_ARENA.total_bytes()
-}
-
-/// Nodes recycled into the pool after their grace period, process-wide.
-pub fn recycled_count() -> u64 {
-    NODE_ARENA.recycled_count()
 }
 
 /// Initialise a pooled slot as a [`VersionNode`].
@@ -224,7 +220,7 @@ pub(crate) unsafe fn release_vlt_node(p: *mut VltNode) {
 /// on a pointer originally produced by this arena.
 pub(crate) unsafe fn recycle_version_node(p: *mut u8) {
     poison_version(p as *mut VersionNode);
-    NODE_ARENA.note_recycled(1);
+    process_stats().pool_recycled.add_shared(1);
     // Safety: grace period elapsed (destructor contract).
     unsafe { NODE_ARENA.push(p) };
 }
@@ -257,7 +253,7 @@ pub(crate) unsafe fn recycle_vlt_chain(p: *mut u8) {
         n += 1;
         cur = next;
     }
-    NODE_ARENA.note_recycled(n);
+    process_stats().pool_recycled.add_shared(n);
 }
 
 #[cfg(test)]
@@ -290,12 +286,12 @@ mod tests {
 
     #[test]
     fn recycle_chain_returns_every_slot() {
-        let before = recycled_count();
+        let before = process_stats().pool_recycled.get();
         let a = acquire_vlt_node(0x1000, 1, 10);
         let b = acquire_vlt_node(0x2000, 2, 20);
         unsafe { &*a }.next.store(b, Ordering::Relaxed);
         unsafe { recycle_vlt_chain(a as *mut u8) };
         // 2 VLT nodes + 2 version-list heads.
-        assert_eq!(recycled_count() - before, 4);
+        assert_eq!(process_stats().pool_recycled.get() - before, 4);
     }
 }

@@ -296,13 +296,9 @@ impl TmRuntime for MultiverseRuntime {
         let mut snap = self.stats.snapshot();
         snap.buckets_unversioned += self.unversioned_bucket_count();
         snap.pool_retires += self.bg_pool_retires.load(Ordering::Relaxed);
-        // Derived, not separately counted: every arena allocation is exactly
-        // one hit or one miss (`MultiverseTx::alloc_slot`).
-        snap.pool_allocs = snap.pool_hits + snap.pool_misses;
-        // Recycling happens in EBR destructors with no thread-stats handle;
-        // the arena counts it process-wide (one TM runs at a time in the
-        // figure harness).
-        snap.pool_recycled += arena::recycled_count();
+        // The workers count only their Q->QtoU CASes; the runtime counts
+        // every transition, the background thread's three included.
+        snap.mode_transitions = self.mode_transition_count();
         snap
     }
 
@@ -575,6 +571,7 @@ mod tests {
             [Mode::QtoU, Mode::U, Mode::UtoQ, Mode::Q]
         );
         assert_eq!(rt.mode_counter(), 4);
+        assert_eq!(rt.stats().mode_transitions, 4, "every transition counted");
     }
 
     #[test]

@@ -45,7 +45,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
-use tm_api::{stats::store_counters, TmRuntime};
+use tm_api::{stats::process_stats, TmRuntime};
 
 /// Server construction parameters.
 #[derive(Debug, Clone)]
@@ -95,12 +95,19 @@ struct Job {
     reply: mpsc::Sender<Vec<Vec<OpResult>>>,
 }
 
+/// The worker queue. `stopping` shares the jobs' mutex, so `shutdown`'s
+/// `notify_all` cannot fall between a worker's check and its wait.
+#[derive(Default)]
+struct Queue {
+    jobs: VecDeque<Job>,
+    stopping: bool,
+}
+
 struct Shared {
     store: Arc<Store>,
-    queue: Mutex<VecDeque<Job>>,
+    queue: Mutex<Queue>,
     queue_cv: Condvar,
     stop_accepting: AtomicBool,
-    stop_workers: AtomicBool,
     /// Clones of every *live* accepted stream, keyed by connection id, for
     /// shutdown to unblock readers. A reader erases its own entry on exit,
     /// so closed connections do not pin duplicated fds for the server's
@@ -124,6 +131,7 @@ impl Shared {
         self.queue
             .lock()
             .unwrap()
+            .jobs
             .push_back(Job { reqs, reply: tx });
         self.queue_cv.notify_one();
         // Workers outlive readers (shutdown joins readers first), so the
@@ -159,10 +167,9 @@ impl Server {
         let addr = listener.local_addr()?;
         let shared = Arc::new(Shared {
             store,
-            queue: Mutex::new(VecDeque::new()),
+            queue: Mutex::new(Queue::default()),
             queue_cv: Condvar::new(),
             stop_accepting: AtomicBool::new(false),
-            stop_workers: AtomicBool::new(false),
             conns: Mutex::new(HashMap::new()),
             readers: Mutex::new(HashMap::new()),
             finished: Mutex::new(Vec::new()),
@@ -234,7 +241,7 @@ impl Server {
             let _ = r.join();
         }
         // All jobs are submitted; let the workers drain the queue and exit.
-        self.shared.stop_workers.store(true, Ordering::SeqCst);
+        self.shared.queue.lock().unwrap().stopping = true;
         self.shared.queue_cv.notify_all();
         for w in self.workers.drain(..) {
             let _ = w.join();
@@ -257,10 +264,10 @@ fn worker_loop<R: TmRuntime>(rt: &Arc<R>, shared: &Shared) {
         let job = {
             let mut q = shared.queue.lock().unwrap();
             loop {
-                if let Some(job) = q.pop_front() {
+                if let Some(job) = q.jobs.pop_front() {
                     break Some(job);
                 }
-                if shared.stop_workers.load(Ordering::SeqCst) {
+                if q.stopping {
                     break None;
                 }
                 q = shared.queue_cv.wait(q).unwrap();
@@ -269,7 +276,7 @@ fn worker_loop<R: TmRuntime>(rt: &Arc<R>, shared: &Shared) {
         let Some(job) = job else { break };
         let results = shared.store.execute_batch(&mut h, &job.reqs);
         shared.batches.fetch_add(1, Ordering::Relaxed);
-        store_counters().batches.fetch_add(1, Ordering::Relaxed);
+        process_stats().store_batches.add_shared(1);
         // A dropped receiver (reader died mid-reply) is fine: the commit
         // already happened; the response is simply undeliverable.
         let _ = job.reply.send(results);
@@ -319,7 +326,7 @@ fn accept_loop(listener: TcpListener, shared: &Arc<Shared>, batch_max_ops: usize
             continue;
         };
         shared.connections.fetch_add(1, Ordering::Relaxed);
-        store_counters().connections.fetch_add(1, Ordering::Relaxed);
+        process_stats().store_connections.add_shared(1);
         // Without this, Nagle holds each small response until the previous
         // one is ACKed, and a pipelining client (which only reads) delays
         // those ACKs — tens of milliseconds per batch on loopback.
@@ -366,9 +373,7 @@ fn connection_loop(mut stream: TcpStream, shared: &Shared, batch_max_ops: usize)
                 FrameStatus::NeedMore => break,
                 FrameStatus::Corrupt => {
                     shared.protocol_errors.fetch_add(1, Ordering::Relaxed);
-                    store_counters()
-                        .protocol_errors
-                        .fetch_add(1, Ordering::Relaxed);
+                    process_stats().store_protocol_errors.add_shared(1);
                     flush_batch(&mut stream, shared, &mut batch);
                     send_response(
                         &mut stream,
@@ -385,9 +390,7 @@ fn connection_loop(mut stream: TcpStream, shared: &Shared, batch_max_ops: usize)
                     pos += end;
                     let Some(req) = decoded else {
                         shared.protocol_errors.fetch_add(1, Ordering::Relaxed);
-                        store_counters()
-                            .protocol_errors
-                            .fetch_add(1, Ordering::Relaxed);
+                        process_stats().store_protocol_errors.add_shared(1);
                         flush_batch(&mut stream, shared, &mut batch);
                         send_response(
                             &mut stream,
@@ -399,14 +402,12 @@ fn connection_loop(mut stream: TcpStream, shared: &Shared, batch_max_ops: usize)
                         break 'conn;
                     };
                     shared.requests.fetch_add(1, Ordering::Relaxed);
-                    store_counters().requests.fetch_add(1, Ordering::Relaxed);
+                    process_stats().store_requests.add_shared(1);
                     if let Err(msg) = shared.store.validate(&req.ops) {
                         // Reject in order: answer everything batched so far
                         // first, then this request's error.
                         shared.protocol_errors.fetch_add(1, Ordering::Relaxed);
-                        store_counters()
-                            .protocol_errors
-                            .fetch_add(1, Ordering::Relaxed);
+                        process_stats().store_protocol_errors.add_shared(1);
                         flush_batch(&mut stream, shared, &mut batch);
                         batch_ops = 0;
                         send_response(&mut stream, &Response::Err { id: req.id, msg });

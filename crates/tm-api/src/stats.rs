@@ -1,10 +1,23 @@
-//! Per-thread transaction statistics.
+//! Transaction and subsystem statistics: one counter table.
 //!
-//! Every TM handle owns an `Arc<ThreadStats>` registered with the runtime's
-//! [`StatsRegistry`]. Counters are updated with relaxed atomics from a single
-//! writer (the owning thread) and aggregated on demand by the benchmark
-//! harness, mirroring how the paper reports commits, aborts and the behaviour
-//! of the DCTL irrevocable path.
+//! Every counter is a row of the `stat_counters!` table below and a field of
+//! [`TmStatsSnapshot`]. The table has two lists:
+//!
+//! * **Per-thread rows** live in [`ThreadStats`]. Each TM handle owns an
+//!   `Arc<ThreadStats>` registered with its runtime's [`StatsRegistry`]; the
+//!   owning thread is the row's only writer.
+//! * **Process-wide rows** live in the one [`ProcessStats`] `static`
+//!   ([`process_stats`]): state every runtime shares (the node arenas, the
+//!   WAL session, the store server). [`StatsRegistry::snapshot`] folds them
+//!   into every snapshot and derives the `*_allocs` rows (hits + misses); the
+//!   Multiverse runtime adds its own `buckets_unversioned` count.
+//!
+//! A row with one writer at a time uses [`CachePaddedCounter::add`]/`inc` (a
+//! relaxed load + store): every per-thread row, and the WAL rows (written by
+//! the group-commit thread, the checkpoint caller or the recovery caller of
+//! the one live session). A row that several threads write concurrently uses
+//! [`CachePaddedCounter::add_shared`] (a relaxed `fetch_add`): the arenas'
+//! hit/miss/retire/recycle rows and the store rows.
 
 use crate::padded::CachePadded;
 use crate::sync::{AtomicU64, Mutex, Ordering};
@@ -16,16 +29,23 @@ macro_rules! stat_counters {
         process_wide: $($(#[$pdoc:meta])* $pname:ident),* $(,)?
     ) => {
         /// Per-thread statistic counters (single writer, many readers).
-        /// Process-wide counters have no per-thread storage — they exist
-        /// only in [`TmStatsSnapshot`], filled at snapshot time.
         #[derive(Debug, Default)]
         pub struct ThreadStats {
             $( $(#[$doc])* pub $name: CachePaddedCounter, )*
         }
 
-        /// A plain snapshot of the counters, aggregated across threads
-        /// (plus the process-wide counters, folded in by
-        /// [`StatsRegistry::snapshot`]).
+        /// Process-wide statistic counters ([`process_stats`]).
+        #[derive(Debug)]
+        pub struct ProcessStats {
+            $( $(#[$pdoc])* pub $pname: CachePaddedCounter, )*
+        }
+
+        static PROCESS_STATS: ProcessStats = ProcessStats {
+            $( $pname: CachePaddedCounter::new(), )*
+        };
+
+        /// A plain snapshot of every row: per-thread rows summed across
+        /// threads, process-wide rows folded in by [`StatsRegistry::snapshot`].
         #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
         pub struct TmStatsSnapshot {
             $( $(#[$doc])* pub $name: u64, )*
@@ -40,6 +60,13 @@ macro_rules! stat_counters {
                     $( $name: self.$name.get(), )*
                     $( $pname: 0, )*
                 }
+            }
+        }
+
+        impl ProcessStats {
+            /// Add every process-wide row into `snap`.
+            fn fold_into(&self, snap: &mut TmStatsSnapshot) {
+                $( snap.$pname += self.$pname.get(); )*
             }
         }
 
@@ -64,11 +91,12 @@ macro_rules! stat_counters {
 /// A relaxed atomic counter padded to its own cache line pair.
 ///
 /// **Single-writer contract:** `inc`/`add` are implemented as a relaxed
-/// load + store rather than an atomic RMW, because every counter has exactly
-/// one writer (the owning thread; see the module docs). A plain store is
-/// several times cheaper than a locked `fetch_add` and these run multiple
-/// times per transaction attempt. Concurrent *readers* (snapshot aggregation)
-/// remain safe; a second concurrent writer would lose increments.
+/// load + store rather than an atomic RMW, because a per-thread row has
+/// exactly one writer (the owning thread; see the module docs). A plain
+/// store is several times cheaper than a locked `fetch_add` and these run
+/// multiple times per transaction attempt. Concurrent *readers* (snapshot
+/// aggregation) remain safe; a second concurrent writer would lose
+/// increments. Rows with several writers use [`Self::add_shared`].
 #[derive(Debug, Default)]
 pub struct CachePaddedCounter(CachePadded<AtomicU64>);
 
@@ -89,6 +117,13 @@ impl CachePaddedCounter {
     pub fn add(&self, n: u64) {
         let v = self.0.load(Ordering::Relaxed);
         self.0.store(v.wrapping_add(n), Ordering::Relaxed);
+    }
+
+    /// Increment by `n` from any thread: a relaxed `fetch_add`, for rows
+    /// with several concurrent writers.
+    #[inline(always)]
+    pub fn add_shared(&self, n: u64) {
+        self.0.fetch_add(n, Ordering::Relaxed);
     }
 
     /// Current value.
@@ -125,16 +160,13 @@ stat_counters! {
     irrevocable_commits,
     /// Addresses switched from unversioned to versioned.
     addresses_versioned,
-    /// VLT buckets unversioned by the background thread.
-    buckets_unversioned,
-    /// Global TM mode transitions observed/performed.
+    /// Global TM mode transitions (Multiverse's `stats` reports the
+    /// runtime's count of all four; a worker counts only its Q→QtoU CAS).
     mode_transitions,
     /// Version/VLT node allocations served from the recycled node pool.
     pool_hits,
     /// Version/VLT node allocations that had to grow the node pool.
     pool_misses,
-    /// Nodes recycled into the pool after their EBR grace period.
-    pool_recycled,
     /// Commit-clock advances attempted by this thread (the deferred-clock
     /// abort path and the supersede-queue force tick). Coalesced ticks —
     /// where another thread had already advanced the clock past the
@@ -146,22 +178,22 @@ stat_counters! {
     /// coalescing fast path returns without a CAS at all), so treat as a
     /// contention signal, not an exact collision count.
     clock_tick_retries,
-    /// Version/VLT node slots handed out by the arena. Derived (hits +
-    /// misses) in the runtime's snapshot rather than counted on the hot
-    /// path; pinned by `crates/multiverse/tests/pool_churn.rs`.
-    pool_allocs,
     /// Version/VLT node slots handed to EBR for eventual recycling.
     pool_retires,
     ;
-    // Process-wide counters: snapshot-only fields, no per-thread storage
-    // (filled by `StatsRegistry::snapshot` from `struct_pool_counters`).
     process_wide:
+    /// VLT buckets unversioned by the background thread.
+    buckets_unversioned,
+    /// Version/VLT nodes recycled into the arena after their grace period.
+    pool_recycled,
+    /// Version/VLT node slots handed out by the arena (derived: hits +
+    /// misses; pinned by `crates/multiverse/tests/pool_churn.rs`).
+    pool_allocs,
     /// Always 0: the version-node pool has one free stack, so there is no
     /// sibling to steal from. Kept because `mvbench` reports it.
     pool_steals,
     /// Structure-node allocations served by the size-classed arena
-    /// (`txstructs::node`), all classes. Derived as hits + misses at
-    /// snapshot time — see the doc on [`StructPoolCounters`].
+    /// (`txstructs::node`), all classes (derived: hits + misses).
     pool_class_allocs,
     /// Structure-node allocations served from recycled size-class slots.
     pool_class_hits,
@@ -179,13 +211,13 @@ stat_counters! {
     /// Structure-node slots recycled into their size class after the EBR
     /// grace period.
     pool_class_recycled,
-    /// WAL records written to segment files by the group-commit thread.
+    /// WAL records written to segment files (group-commit thread).
     wal_appends,
-    /// Successful batched fsyncs of WAL segment files.
+    /// Successful batched fsyncs of WAL segment files (group-commit thread).
     wal_fsyncs,
-    /// Encoded WAL bytes written to segment files.
+    /// Encoded WAL bytes written to segment files (group-commit thread).
     wal_bytes,
-    /// Snapshot checkpoints successfully written.
+    /// Snapshot checkpoints successfully written (checkpoint caller).
     checkpoint_count,
     /// Invalid WAL frames truncated or skipped during recovery.
     recovery_truncated_records,
@@ -200,122 +232,31 @@ stat_counters! {
     store_protocol_errors,
 }
 
-/// Process-wide counters of the size-classed structure-node arena.
-///
-/// The arena (`txstructs::node`) is a `static` shared by every runtime in
-/// the process — exactly like the Multiverse version-node arena — so its
-/// counters cannot live in any one runtime's per-thread [`ThreadStats`].
-/// They live here, below every TM crate, and [`StatsRegistry::snapshot`]
-/// folds them into each snapshot's `pool_class_*` fields. The figure
-/// runners execute one TM at a time, so the numbers stay attributable.
-///
-/// The allocation counters (hits/misses) are batched: the allocator
-/// accumulates them in its thread-local cache and flushes in batches (plus
-/// once on thread exit), keeping locked RMWs off the per-operation path.
-/// Retires and recycles are published immediately — a retire's defer always
-/// precedes its recycle in real time, so immediate publication keeps
-/// `recycled <= retires` true in every snapshot.
-#[derive(Debug, Default)]
-pub struct StructPoolCounters {
-    /// Allocations served from recycled slots.
-    pub hits: AtomicU64,
-    /// Allocations served from fresh slab memory.
-    pub misses: AtomicU64,
-    /// Retires deferred by transaction attempts (counted at defer time;
-    /// includes retires later revoked by an abort — see the
-    /// `pool_class_retires` counter doc).
-    pub retires: AtomicU64,
-    /// Slots recycled into their class after the grace period.
-    pub recycled: AtomicU64,
+/// The process-wide counters (see the module docs).
+pub fn process_stats() -> &'static ProcessStats {
+    &PROCESS_STATS
 }
 
-static STRUCT_POOL_COUNTERS: StructPoolCounters = StructPoolCounters {
-    hits: AtomicU64::new(0),
-    misses: AtomicU64::new(0),
-    retires: AtomicU64::new(0),
-    recycled: AtomicU64::new(0),
-};
-
-/// The process-wide structure-node arena counters (written by
-/// `txstructs::node`, folded into every [`StatsRegistry::snapshot`]).
-pub fn struct_pool_counters() -> &'static StructPoolCounters {
-    &STRUCT_POOL_COUNTERS
-}
-
-/// Process-wide counters of the WAL durability pipeline.
-///
-/// Like [`StructPoolCounters`], these live below every TM crate because the
-/// WAL session is process-wide state, not per-runtime. Each counter keeps
-/// the single-writer load+store discipline of [`CachePaddedCounter`]:
-/// `appends`/`fsyncs`/`bytes` are written only by the group-commit thread,
-/// `checkpoints` only by the checkpoint caller (sessions are serialized, so
-/// there is exactly one at a time), and `recovery_truncated` only by the
-/// recovery caller (which runs after the crashed session is torn down).
-#[derive(Debug, Default)]
-pub struct WalCounters {
-    /// Records written to segment files (group-commit thread).
-    pub appends: CachePaddedCounter,
-    /// Successful batched fsyncs of segment files (group-commit thread).
-    pub fsyncs: CachePaddedCounter,
-    /// Encoded bytes written to segment files (group-commit thread).
-    pub bytes: CachePaddedCounter,
-    /// Checkpoints successfully written (checkpoint caller).
-    pub checkpoints: CachePaddedCounter,
-    /// Invalid frames truncated or skipped during recovery (recovery caller).
-    pub recovery_truncated: CachePaddedCounter,
-}
-
-static WAL_COUNTERS: WalCounters = WalCounters {
-    appends: CachePaddedCounter::new(),
-    fsyncs: CachePaddedCounter::new(),
-    bytes: CachePaddedCounter::new(),
-    checkpoints: CachePaddedCounter::new(),
-    recovery_truncated: CachePaddedCounter::new(),
-};
-
-/// The process-wide WAL counters (written by the `wal` crate, folded into
-/// every [`StatsRegistry::snapshot`]).
-pub fn wal_counters() -> &'static WalCounters {
-    &WAL_COUNTERS
-}
-
-/// Process-wide counters of the store network front door.
-///
-/// Like [`StructPoolCounters`], these live below every TM crate: a store
-/// server multiplexes many connection threads onto one runtime, so the
-/// counters are multi-writer and use atomic RMWs (`fetch_add`), not the
-/// single-writer [`CachePaddedCounter`] discipline. They sit on the
-/// per-request path, not the per-transactional-op hot path, so the locked
-/// RMW cost is acceptable.
-#[derive(Debug, Default)]
-pub struct StoreCounters {
-    /// Client connections accepted.
-    pub connections: AtomicU64,
-    /// Protocol requests decoded (each a batch of ops).
-    pub requests: AtomicU64,
-    /// Commit batches executed by workers.
-    pub batches: AtomicU64,
-    /// Malformed/torn frames and undecodable requests rejected.
-    pub protocol_errors: AtomicU64,
-}
-
-static STORE_COUNTERS: StoreCounters = StoreCounters {
-    connections: AtomicU64::new(0),
-    requests: AtomicU64::new(0),
-    batches: AtomicU64::new(0),
-    protocol_errors: AtomicU64::new(0),
-};
-
-/// The process-wide store front-door counters (written by the `store`
-/// crate, folded into every [`StatsRegistry::snapshot`]).
-pub fn store_counters() -> &'static StoreCounters {
-    &STORE_COUNTERS
-}
+/// Registry length below which [`StatsRegistry::register`] never prunes.
+const PRUNE_FLOOR: usize = 64;
 
 /// Registry of all per-thread statistics for one TM runtime instance.
+///
+/// Handles come and go, so `register` prunes: once the list reaches
+/// `max(PRUNE_FLOOR, 2 × live after the last prune)` entries, every entry
+/// whose handle has dropped is folded into `retired` and removed.
 #[derive(Debug, Default)]
 pub struct StatsRegistry {
-    threads: Mutex<Vec<Arc<ThreadStats>>>,
+    inner: Mutex<Registered>,
+}
+
+#[derive(Debug, Default)]
+struct Registered {
+    threads: Vec<Arc<ThreadStats>>,
+    /// The summed rows of every pruned handle.
+    retired: TmStatsSnapshot,
+    /// List length at which the next `register` prunes.
+    prune_at: usize,
 }
 
 impl StatsRegistry {
@@ -327,35 +268,35 @@ impl StatsRegistry {
     /// Register a new thread and return its stats handle.
     pub fn register(&self) -> Arc<ThreadStats> {
         let stats = Arc::new(ThreadStats::default());
-        self.threads.lock().unwrap().push(Arc::clone(&stats));
+        let mut r = self.inner.lock().unwrap();
+        if r.threads.len() >= r.prune_at {
+            let (mut live, mut retired) = (Vec::new(), r.retired);
+            for t in r.threads.drain(..) {
+                match Arc::try_unwrap(t) {
+                    Ok(dropped) => retired.merge(&dropped.snapshot()),
+                    Err(t) => live.push(t),
+                }
+            }
+            r.prune_at = PRUNE_FLOOR.max(2 * live.len());
+            (r.threads, r.retired) = (live, retired);
+        }
+        r.threads.push(Arc::clone(&stats));
         stats
     }
 
-    /// Aggregate a snapshot across every thread ever registered, folding in
-    /// the process-wide structure-node arena counters (see
-    /// [`StructPoolCounters`]).
+    /// Aggregate a snapshot across every thread ever registered, plus the
+    /// process-wide rows and the derived `*_allocs` rows.
     pub fn snapshot(&self) -> TmStatsSnapshot {
-        let mut total = TmStatsSnapshot::default();
-        for t in self.threads.lock().unwrap().iter() {
+        let r = self.inner.lock().unwrap();
+        let mut total = r.retired;
+        for t in &r.threads {
             total.merge(&t.snapshot());
         }
-        let sp = struct_pool_counters();
-        total.pool_class_hits += sp.hits.load(Ordering::Relaxed);
-        total.pool_class_misses += sp.misses.load(Ordering::Relaxed);
-        total.pool_class_retires += sp.retires.load(Ordering::Relaxed);
-        total.pool_class_recycled += sp.recycled.load(Ordering::Relaxed);
+        drop(r);
+        process_stats().fold_into(&mut total);
+        // Every arena allocation is exactly one hit or one miss.
+        total.pool_allocs = total.pool_hits + total.pool_misses;
         total.pool_class_allocs = total.pool_class_hits + total.pool_class_misses;
-        let wal = wal_counters();
-        total.wal_appends += wal.appends.get();
-        total.wal_fsyncs += wal.fsyncs.get();
-        total.wal_bytes += wal.bytes.get();
-        total.checkpoint_count += wal.checkpoints.get();
-        total.recovery_truncated_records += wal.recovery_truncated.get();
-        let store = store_counters();
-        total.store_connections += store.connections.load(Ordering::Relaxed);
-        total.store_requests += store.requests.load(Ordering::Relaxed);
-        total.store_batches += store.batches.load(Ordering::Relaxed);
-        total.store_protocol_errors += store.protocol_errors.load(Ordering::Relaxed);
         total
     }
 }
@@ -414,6 +355,21 @@ mod tests {
     }
 
     #[test]
+    fn registry_prunes_dropped_handles_and_keeps_their_counts() {
+        let reg = StatsRegistry::new();
+        let live = reg.register();
+        live.commits.inc();
+        for _ in 0..1000 {
+            reg.register().commits.add(2);
+            let len = reg.inner.lock().unwrap().threads.len();
+            assert!(len <= PRUNE_FLOOR, "registry list grew to {len}");
+        }
+        assert_eq!(reg.snapshot().commits, 1 + 2 * 1000);
+        live.commits.inc();
+        assert_eq!(reg.snapshot().commits, 2 + 2 * 1000, "live handle kept");
+    }
+
+    #[test]
     fn abort_ratio() {
         let mut s = TmStatsSnapshot::default();
         assert_eq!(s.abort_ratio(), 0.0);
@@ -434,64 +390,67 @@ mod tests {
     }
 
     #[test]
-    fn struct_pool_counters_fold_into_every_snapshot() {
+    fn process_rows_fold_into_every_snapshot() {
         let reg = StatsRegistry::new();
         let before = reg.snapshot();
-        let sp = struct_pool_counters();
-        sp.hits.fetch_add(5, Ordering::Relaxed);
-        sp.misses.fetch_add(2, Ordering::Relaxed);
-        sp.retires.fetch_add(3, Ordering::Relaxed);
-        sp.recycled.fetch_add(1, Ordering::Relaxed);
+        let p = process_stats();
+        p.buckets_unversioned.add_shared(6);
+        p.pool_recycled.add_shared(7);
+        p.pool_class_hits.add_shared(5);
+        p.pool_class_misses.add_shared(2);
+        p.pool_class_retires.add_shared(3);
+        p.pool_class_recycled.add_shared(1);
+        p.wal_appends.add(4);
+        p.wal_fsyncs.inc();
+        p.wal_bytes.add(256);
+        p.checkpoint_count.inc();
+        p.recovery_truncated_records.add(2);
+        p.store_connections.add_shared(3);
+        p.store_requests.add_shared(12);
+        p.store_batches.add_shared(5);
+        p.store_protocol_errors.add_shared(1);
+        let t = reg.register();
+        t.pool_hits.add(8);
+        t.pool_misses.add(1);
         let after = reg.snapshot();
-        assert_eq!(after.pool_class_hits - before.pool_class_hits, 5);
-        assert_eq!(after.pool_class_misses - before.pool_class_misses, 2);
-        assert_eq!(after.pool_class_retires - before.pool_class_retires, 3);
-        assert_eq!(after.pool_class_recycled - before.pool_class_recycled, 1);
+        let delta = |row: fn(&TmStatsSnapshot) -> u64| row(&after) - row(&before);
+        assert_eq!(delta(|s| s.buckets_unversioned), 6);
+        assert_eq!(delta(|s| s.pool_recycled), 7);
+        assert_eq!(delta(|s| s.pool_class_hits), 5);
+        assert_eq!(delta(|s| s.pool_class_misses), 2);
+        assert_eq!(delta(|s| s.pool_class_retires), 3);
+        assert_eq!(delta(|s| s.pool_class_recycled), 1);
+        assert_eq!(delta(|s| s.wal_appends), 4);
+        assert_eq!(delta(|s| s.wal_fsyncs), 1);
+        assert_eq!(delta(|s| s.wal_bytes), 256);
+        assert_eq!(delta(|s| s.checkpoint_count), 1);
+        assert_eq!(delta(|s| s.recovery_truncated_records), 2);
+        assert_eq!(delta(|s| s.store_connections), 3);
+        assert_eq!(delta(|s| s.store_requests), 12);
+        assert_eq!(delta(|s| s.store_batches), 5);
+        assert_eq!(delta(|s| s.store_protocol_errors), 1);
+        // Derived rows: hits + misses.
+        assert_eq!(after.pool_allocs, 9);
         assert_eq!(
             after.pool_class_allocs,
-            after.pool_class_hits + after.pool_class_misses,
-            "allocs is derived as hits + misses"
+            after.pool_class_hits + after.pool_class_misses
         );
+        assert_eq!((after.pool_steals, after.pool_class_steals), (0, 0));
     }
 
     #[test]
-    fn wal_counters_fold_into_every_snapshot() {
-        let reg = StatsRegistry::new();
-        let before = reg.snapshot();
-        let wal = wal_counters();
-        wal.appends.add(4);
-        wal.fsyncs.inc();
-        wal.bytes.add(256);
-        wal.checkpoints.inc();
-        wal.recovery_truncated.add(2);
-        let after = reg.snapshot();
-        assert_eq!(after.wal_appends - before.wal_appends, 4);
-        assert_eq!(after.wal_fsyncs - before.wal_fsyncs, 1);
-        assert_eq!(after.wal_bytes - before.wal_bytes, 256);
-        assert_eq!(after.checkpoint_count - before.checkpoint_count, 1);
-        assert_eq!(
-            after.recovery_truncated_records - before.recovery_truncated_records,
-            2
-        );
-    }
-
-    #[test]
-    fn store_counters_fold_into_every_snapshot() {
-        let reg = StatsRegistry::new();
-        let before = reg.snapshot();
-        let sc = store_counters();
-        sc.connections.fetch_add(3, Ordering::Relaxed);
-        sc.requests.fetch_add(12, Ordering::Relaxed);
-        sc.batches.fetch_add(5, Ordering::Relaxed);
-        sc.protocol_errors.fetch_add(1, Ordering::Relaxed);
-        let after = reg.snapshot();
-        assert_eq!(after.store_connections - before.store_connections, 3);
-        assert_eq!(after.store_requests - before.store_requests, 12);
-        assert_eq!(after.store_batches - before.store_batches, 5);
-        assert_eq!(
-            after.store_protocol_errors - before.store_protocol_errors,
-            1
-        );
+    fn shared_counter_keeps_every_concurrent_increment() {
+        let c = CachePaddedCounter::new();
+        std::thread::scope(|s| {
+            for _ in 0..4 {
+                s.spawn(|| {
+                    for _ in 0..1000 {
+                        c.add_shared(1);
+                    }
+                });
+            }
+        });
+        assert_eq!(c.get(), 4000);
     }
 
     #[test]

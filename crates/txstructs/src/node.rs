@@ -41,13 +41,12 @@
 //! slots through EBR and recycle them after the grace period, with the
 //! reclamation safety argument of `ebr::pool` / `multiverse::arena`
 //! unchanged. Pool traffic is counted into the process-wide `pool_class_*`
-//! stats ([`tm_api::stats::struct_pool_counters`]), flushed in batches off
-//! the hot path.
+//! rows of [`tm_api::stats::process_stats`]; the allocation rows are
+//! flushed in batches off the hot path.
 
 use ebr::pool::{class_for_size, ClassedHandle, ClassedPool, SlotSource, CACHE_LINE};
 use std::cell::RefCell;
-use std::sync::atomic::Ordering;
-use tm_api::{Transaction, TxResult};
+use tm_api::{stats::process_stats, Transaction, TxResult};
 
 /// Number of size classes of the structure-node arena.
 pub const CLASS_COUNT: usize = 4;
@@ -85,9 +84,9 @@ const fn class_of<T>() -> usize {
     class_for_size(CLASS_SIZES, std::mem::size_of::<T>())
 }
 
-/// Batched stat flushing: local event counts are pushed into the global
-/// [`tm_api::stats::struct_pool_counters`] every this many events (and on
-/// thread exit), keeping locked RMWs off the per-operation path.
+/// Batched stat flushing: local hit/miss counts are pushed into the
+/// process-wide `pool_class_*` rows every this many events (and on thread
+/// exit), keeping locked RMWs off the per-operation path.
 const STAT_FLUSH_EVERY: u64 = 64;
 
 /// Per-thread allocation state: the classed pool handle plus locally
@@ -110,12 +109,12 @@ impl NodeCache {
     }
 
     fn flush(&mut self) {
-        let sp = tm_api::stats::struct_pool_counters();
+        let p = process_stats();
         if self.hits != 0 {
-            sp.hits.fetch_add(self.hits, Ordering::Relaxed);
+            p.pool_class_hits.add_shared(self.hits);
         }
         if self.misses != 0 {
-            sp.misses.fetch_add(self.misses, Ordering::Relaxed);
+            p.pool_class_misses.add_shared(self.misses);
         }
         self.hits = 0;
         self.misses = 0;
@@ -349,9 +348,7 @@ pub fn retire_node<N: TxNodeInit, X: Transaction>(tx: &mut X, word: u64) {
     // publication keeps `recycled <= retires` true in every snapshot — a
     // batched retire count could transiently lag the directly-published
     // recycle count. One relaxed RMW per removal is off the read hot path.
-    tm_api::stats::struct_pool_counters()
-        .retires
-        .fetch_add(1, Ordering::Relaxed);
+    process_stats().pool_class_retires.add_shared(1);
 }
 
 /// Debug poison: fill a dead slot with a recognisable pattern so any
@@ -389,9 +386,7 @@ fn release_dtor<N: TxNodeInit>() -> unsafe fn(*mut u8) {
 fn recycle_dtor<N: TxNodeInit>() -> unsafe fn(*mut u8) {
     unsafe fn recycle<N: TxNodeInit>(p: *mut u8) {
         poison_slot::<N>(p);
-        tm_api::stats::struct_pool_counters()
-            .recycled
-            .fetch_add(1, Ordering::Relaxed);
+        process_stats().pool_class_recycled.add_shared(1);
         #[cfg(feature = "sim")]
         if sim_reuse::capture(class_of::<N>(), p) {
             return;

@@ -126,8 +126,8 @@ pub fn recover(dir: &Path, opts: &RecoverOpts) -> io::Result<Recovered> {
         }
     }
 
-    tm_api::stats::wal_counters()
-        .recovery_truncated
+    tm_api::stats::process_stats()
+        .recovery_truncated_records
         .add(out.truncated_records);
     Ok(out)
 }

@@ -52,6 +52,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::Duration;
+use tm_api::stats::process_stats;
 use tm_api::sync as tmsync;
 
 use crate::crashpoint::{self, Action, Site};
@@ -325,9 +326,9 @@ impl BgThread {
             self.last_written_seq = batch.last().expect("nonempty batch").seq;
             self.appends += batch.len() as u64;
             self.bytes += encoded.len() as u64;
-            let wal = tm_api::stats::wal_counters();
-            wal.appends.add(batch.len() as u64);
-            wal.bytes.add(encoded.len() as u64);
+            let stats = process_stats();
+            stats.wal_appends.add(batch.len() as u64);
+            stats.wal_bytes.add(encoded.len() as u64);
             #[cfg(feature = "crashpoint")]
             self.pending_durable.extend(batch);
         }
@@ -338,7 +339,7 @@ impl BgThread {
             self.synced_len = self.written_len;
             self.durable_seq = self.last_written_seq;
             self.fsyncs += 1;
-            tm_api::stats::wal_counters().fsyncs.inc();
+            process_stats().wal_fsyncs.inc();
             #[cfg(feature = "crashpoint")]
             self.durable_records.append(&mut self.pending_durable);
         }
@@ -558,7 +559,7 @@ impl WalHandle {
             let _ = dir.sync_all();
         }
         self.checkpoints += 1;
-        tm_api::stats::wal_counters().checkpoints.inc();
+        process_stats().checkpoint_count.inc();
         self.shared.rotate_requested.store(true, Ordering::Release);
         Ok(true)
     }

@@ -168,7 +168,7 @@ fn damaged_newest_checkpoint_falls_back_to_older() {
 }
 
 #[test]
-fn wal_counters_flow_into_stats_snapshot() {
+fn wal_rows_flow_into_stats_snapshot() {
     let dir = temp_dir("stats");
     let reg = tm_api::stats::StatsRegistry::new();
     let handle = wal::start(fast_config(&dir)).unwrap();
