@@ -64,7 +64,8 @@
 //!
 //! [`BrokenDemo`] re-enables three historical bugs behind hidden switches
 //! (`multiverse::broken`, `txstructs::broken`): the `<=` traverse
-//! acceptance, the disabled supersede clock gate, and raw (non-TM) node
+//! acceptance, the disabled supersede clock gate (with loaded rather than
+//! owned versioned read clocks), and raw (non-TM) node
 //! initialisation in `alloc_node` — the PR 4 ghost-key bug, where a reused
 //! node address keeps the previous node generation's version lists and a
 //! multiversioned reader traverses into the old generation's keys.
@@ -138,7 +139,8 @@ named_enum! {
     pub enum BrokenDemo {
         /// Accept versions stamped exactly at the read clock (`<=`).
         TraverseLe => "traverse-le",
-        /// Retire superseded nodes without waiting for the clock gate.
+        /// Retire superseded nodes without waiting for the clock gate, and
+        /// load versioned read clocks instead of owning them.
         SupersedeGate => "supersede-gate",
         /// Initialise structure nodes with raw stores instead of TM writes,
         /// so a reused address leaks the previous node generation's version
@@ -392,10 +394,12 @@ fn model_traverse() -> ModelParts {
 /// `supersede`: an updater supersedes a versioned variable twice, drops its
 /// handle (orphaning its retirement bags) and drives `bg_step` so EBR can
 /// advance and reclaim; a versioned reader traverses concurrently. With the
-/// clock gate intact the superseded nodes stay queued (the clock never
-/// advances past their commit stamp) and every schedule is clean; the
-/// `supersede-gate` demo retires them immediately, so schedules where the
-/// reader starts after reclamation walk into a recycled (poisoned) node.
+/// clock gate intact the superseded nodes stay queued until the clock
+/// passes their commit stamp, and a reader that walks past that stamp owns
+/// a read clock taken before the commit, so every schedule is clean. The
+/// `supersede-gate` demo retires them immediately and loads the reader's
+/// read clock, so schedules where the reader starts after reclamation, at
+/// the same quiescent clock, walk into a recycled (poisoned) node.
 fn model_supersede() -> ModelParts {
     let rt = MultiverseRuntime::start(versioned_mode_q_config());
     let vars = Arc::new(vec![TVar::new(0u64)]);

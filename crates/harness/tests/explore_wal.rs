@@ -25,15 +25,15 @@ const BOUND: u32 = 1;
 /// the pin, anything else is a determinism bug. (The checkpoint-write and
 /// rotate cells are smaller: their injected fault stops the pipeline before
 /// some late yield points exist.)
-// Pins re-measured when the abort path moved from `increment` (one
-// fetch_add) to the coalescing `tick` (load + CAS) — a different
-// instrumented-op sequence on the abort yield points.
+// Pins re-measured when the checkpoint writer's versioned begin started
+// taking its read clock with `increment` (one fetch_add) instead of a
+// load — a different instrumented-op sequence on that yield point.
 const PINS: &[(WalScenario, u64)] = &[
-    (WalScenario::Commit, 97),
-    (WalScenario::Crash(Site::Append), 97),
-    (WalScenario::Crash(Site::Fsync), 97),
-    (WalScenario::Crash(Site::CheckpointWrite), 92),
-    (WalScenario::Crash(Site::Rotate), 92),
+    (WalScenario::Commit, 98),
+    (WalScenario::Crash(Site::Append), 98),
+    (WalScenario::Crash(Site::Fsync), 98),
+    (WalScenario::Crash(Site::CheckpointWrite), 93),
+    (WalScenario::Crash(Site::Rotate), 93),
 ];
 
 #[test]

@@ -27,7 +27,12 @@
 //!    advanced past the superseding commit timestamp `T` — see
 //!    `MultiverseTx::flush_superseded`. Under the strict `< read-clock`
 //!    acceptance rule, a reader dereferences past a committed version stamped
-//!    `T` only if its read clock is `<= T`. The clock-gate composes with the
+//!    `T` only if its read clock is `<= T`. A versioned attempt owns its
+//!    read clock (`MultiverseTx::begin` takes it from its own
+//!    `GlobalClock::increment`, after pinning), so such a reader advanced
+//!    the clock before the superseding commit read it: it was pinned before
+//!    the retire, and the grace period alone protects it. The clock gate is
+//!    a second protection, and it composes with the
 //!    EBR pin handshake (`ebr::LocalHandle::pin`: `SeqCst` pin store, then a
 //!    `SeqCst` *revalidation* load of the epoch, re-announcing until stable;
 //!    the advance scan reads slots with `SeqCst`): a validated pin at epoch

@@ -16,12 +16,15 @@
 //!   non-linearizable history.
 //! * [`set_supersede_no_gate`] — disables the clock gate in
 //!   `flush_superseded` (the PR 2 bug), retiring superseded nodes whose
-//!   commit timestamp is still at the current clock, *and* restores the
-//!   matching historical traverse behaviour of walking past a committed
-//!   at-clock version (today's traverse aborts on that tie instead). A late
-//!   reader with the same read clock then walks past the reclaimed node
-//!   into poisoned memory — the two reverts belong together: the walk-past
-//!   is the only way the missing gate is ever observable.
+//!   commit timestamp is still at the current clock, *and* makes a
+//!   versioned attempt take its read clock by a plain load instead of its
+//!   own `GlobalClock::increment`. The two protections must be reverted
+//!   together: with an owned read clock, a reader walks past a committed
+//!   version only if that commit read the clock after the reader pinned,
+//!   so EBR's grace period alone keeps the older node alive. With a loaded
+//!   read clock, a late reader that starts after the commit and its
+//!   reclamation, at the same quiescent clock, walks past the at-clock
+//!   version into the reclaimed (poisoned) node.
 //!
 //! Only compiled with the `sim` feature; release builds carry no trace of
 //! these switches.
@@ -37,7 +40,7 @@ pub fn traverse_le() -> bool {
     TRAVERSE_LE.load(Ordering::Relaxed)
 }
 
-/// Is the supersede clock gate disabled?
+/// Is the supersede-gate demo on (no clock gate, loaded read clocks)?
 #[inline]
 pub fn supersede_no_gate() -> bool {
     SUPERSEDE_NO_GATE.load(Ordering::Relaxed)
@@ -48,7 +51,8 @@ pub fn set_traverse_le(on: bool) {
     TRAVERSE_LE.store(on, Ordering::Relaxed);
 }
 
-/// Enable/disable the supersede clock-gate bypass (PR 2 bug).
+/// Enable/disable the supersede-gate demo (PR 2 bug, plus loaded read
+/// clocks).
 pub fn set_supersede_no_gate(on: bool) {
     SUPERSEDE_NO_GATE.store(on, Ordering::Relaxed);
 }

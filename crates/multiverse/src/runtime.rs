@@ -263,9 +263,14 @@ impl Drop for MultiverseRuntime {
     fn drop(&mut self) {
         // The background thread holds only a Weak reference, so reaching this
         // point means it can no longer upgrade; make sure it exits and joins.
+        // It upgrades for the length of each `bg_step`, so the last `Arc` can
+        // drop on the background thread itself: that thread is already on
+        // its way out, and joining it from itself would fail.
         self.stop_bg.store(true, Ordering::Release);
         if let Some(join) = self.bg_join.lock().unwrap().take() {
-            let _ = join.join();
+            if join.thread().id() != std::thread::current().id() {
+                let _ = join.join();
+            }
         }
     }
 }
@@ -762,6 +767,111 @@ mod tests {
             rt.unversioned_bucket_count()
         );
         assert_eq!(rt.registry.len(), 1, "the dropped handle's slot was pruned");
+    }
+
+    #[test]
+    fn mode_u_read_only_retry_runs_versioned() {
+        // K1 = 100, and no transaction has committed in Mode U yet, so only
+        // the Mode-U rule can put attempt 1 on the versioned path.
+        let rt = MultiverseRuntime::start(MultiverseConfig {
+            k1_versioned_after: 100,
+            bg_thread: false,
+            ..MultiverseConfig::small()
+        });
+        assert!(rt.try_initiate_qtou(rt.mode_counter()));
+        assert!(step_until(&rt, 100, |rt| rt.current_mode() == Mode::U));
+        let x = TVar::new(7u64);
+        let mut h = rt.register();
+        let mut paths = Vec::new();
+        let v = h.txn(TxKind::ReadOnly, |tx| {
+            let v = tx.read_var(&x)?;
+            paths.push(tx.is_versioned());
+            if paths.len() == 1 {
+                Err(tm_api::Abort)
+            } else {
+                Ok(v)
+            }
+        });
+        assert_eq!(v, 7);
+        assert_eq!(paths, [false, true], "attempt 1 after a Mode-U abort");
+        let stats = rt.stats();
+        assert_eq!((stats.versioned_commits, stats.mode_u_commits), (1, 1));
+    }
+
+    #[test]
+    fn versioned_reader_walks_past_a_commit_at_its_read_clock() {
+        let small = MultiverseConfig::small();
+        let rt = stepped_rt(small.stripes, small.k3_versioned_mode_u_after);
+        let vars = [TVar::new(1u64), TVar::new(10u64)];
+        let mut reader = rt.register();
+        let mut writer = rt.register();
+        // Version both addresses (K1 = 0: every read-only attempt is
+        // versioned).
+        assert_eq!(read_all(&mut reader, &vars), 11);
+        let versioned_aborts = rt.stats().versioned_aborts;
+        let mut attempts = 0;
+        let pair = reader.txn(TxKind::ReadOnly, |tx| {
+            attempts += 1;
+            let a = tx.read_var(&vars[0])?;
+            if attempts == 1 {
+                // Commit new `x` and `y` between the reader's two reads.
+                // Commits do not advance the deferred clock, so this one is
+                // stamped exactly the reader's read clock.
+                let clock = rt.clock.read();
+                assert_eq!(clock, tx.snapshot_clock());
+                writer.txn(TxKind::ReadWrite, |w| {
+                    w.write_var(&vars[0], 2)?;
+                    w.write_var(&vars[1], 20)
+                });
+                assert_eq!(rt.clock.read(), clock, "the clock stayed quiescent");
+            }
+            let b = tx.read_var(&vars[1])?;
+            Ok((a, b))
+        });
+        assert_eq!(pair, (1, 10), "the reader serializes before the commit");
+        assert_eq!(attempts, 1);
+        assert_eq!(rt.stats().versioned_aborts, versioned_aborts);
+        assert_eq!(read_all(&mut reader, &vars), 22);
+    }
+
+    #[test]
+    fn versioned_reader_sees_its_handles_own_committed_write() {
+        let small = MultiverseConfig::small();
+        let rt = stepped_rt(small.stripes, small.k3_versioned_mode_u_after);
+        let vars = [TVar::new(5u64)];
+        let mut h = rt.register();
+        assert_eq!(read_all(&mut h, &vars), 5);
+        h.txn(TxKind::ReadWrite, |tx| tx.write_var(&vars[0], 6));
+        let mut attempts = 0;
+        let v = h.txn(TxKind::ReadOnly, |tx| {
+            attempts += 1;
+            assert!(tx.is_versioned());
+            tx.read_var(&vars[0])
+        });
+        assert_eq!((v, attempts), (6, 1), "own write seen on attempt 0");
+    }
+
+    #[test]
+    fn dropping_the_last_arc_on_the_background_thread_does_not_join_itself() {
+        let rt = MultiverseRuntime::start(MultiverseConfig {
+            bg_thread: false,
+            ..MultiverseConfig::small()
+        });
+        let (arc_tx, arc_rx) = std::sync::mpsc::channel::<Arc<MultiverseRuntime>>();
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        let bg = std::thread::spawn(move || {
+            let rt = arc_rx.recv().unwrap();
+            let dropped = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| drop(rt)));
+            done_tx.send(dropped.is_ok()).unwrap();
+        });
+        // The spawned thread stands in for the background thread: its own
+        // handle is the one the runtime's drop finds in `bg_join`.
+        *rt.bg_join.lock().unwrap() = Some(bg);
+        arc_tx.send(rt).unwrap();
+        assert!(
+            done_rx.recv().unwrap(),
+            "dropping the runtime on its background thread panicked"
+        );
     }
 
     #[test]

@@ -79,7 +79,7 @@ pub struct MultiverseTx {
     /// reads in [`Self::begin`] / [`Self::try_commit`]. Only stale-low-safe
     /// consumers (the supersede gate pre-check, the commit-ts-delta
     /// heuristic) recall it — never read-clock or commit-timestamp
-    /// acquisition, which stay real loads (see `tm_api::clock`).
+    /// acquisition, which stay real clock operations (see `tm_api::clock`).
     clock_cache: ClockCache,
 
     // ---- per-attempt state ----
@@ -375,20 +375,22 @@ impl MultiverseTx {
     ///
     /// Why the clock gate: under the strict `< read-clock` acceptance rule a
     /// reader skips a committed version stamped `T` whenever its read clock
-    /// is `<= T` and walks on to the *older* node — and with the deferred
-    /// clock, readers with read clock `== T` can keep starting for as long
-    /// as the clock stays at `T` (commits do not advance it). Retiring the
-    /// older node at supersede time (the seed behaviour, sound under the
-    /// paper's non-strict rule) would let EBR reclaim memory such late
-    /// readers still dereference. Once the clock exceeds `T`, every new
-    /// reader's clock read is ordered after the advance (the EBR pin/epoch
-    /// handshake supplies the happens-before edge — see the `arena` module
-    /// docs), so it accepts the superseding version and never walks past it;
-    /// the grace period covers everyone older. The queue is bounded: if it
-    /// grows past [`SUPERSEDE_FORCE_AT`] while the clock is quiescent, we
-    /// bump the clock ourselves (always safe — the clock is monotonic and a
-    /// spurious tick only freshens future read clocks, exactly like the tick
-    /// every abort already performs).
+    /// is `<= T` and walks on to the *older* node. A versioned attempt owns
+    /// its read clock (its own `increment` in `begin`), so such a
+    /// reader advanced the clock — after pinning — before the commit stamped
+    /// `T` read it, and EBR's grace period already covers it. The gate is a
+    /// second protection on top of that: once the clock exceeds `T`, every
+    /// new reader's read clock is ordered after the advance (the EBR
+    /// pin/epoch handshake supplies the happens-before edge — see the
+    /// `arena` module docs), so it accepts the superseding version and never
+    /// walks past it; the grace period covers everyone older. With owned
+    /// read clocks the explorer does not flag a gate-only revert; the gate
+    /// stays until its memory cost is measured. The queue is bounded: if it
+    /// grows past
+    /// [`SUPERSEDE_FORCE_AT`] while the clock is quiescent, we bump the
+    /// clock ourselves (always safe — the clock is monotonic and a spurious
+    /// tick only freshens future read clocks, exactly like the tick every
+    /// abort already performs).
     fn flush_superseded(&mut self) {
         if self.superseded.is_empty() {
             return;
@@ -601,12 +603,17 @@ impl Protocol for MultiverseTx {
         // Decide the code path for this attempt: read-only transactions switch
         // to the versioned path after K1 failed attempts, or earlier if their
         // previous attempt already read at least as much as the smallest
-        // transaction known to have committed in Mode U (§4.1, §4.2).
+        // transaction known to have committed in Mode U (§4.1, §4.2), or if
+        // the attempt that just aborted ran in local Mode U, where every
+        // address written since the transition already has a version.
+        // `local_mode` still holds that attempt's mode here.
         let cfg = &self.rt.cfg;
         let min_mode_u_reads = self.rt.min_mode_u_read_count();
         self.versioned = kind == TxKind::ReadOnly
             && (self.attempts >= cfg.k1_versioned_after
-                || (self.attempts >= 1 && self.last_attempt_reads >= min_mode_u_reads));
+                || (self.attempts >= 1
+                    && (self.local_mode == Mode::U
+                        || self.last_attempt_reads >= min_mode_u_reads)));
 
         // Announce-and-confirm the local mode counter: store the observed
         // counter, then re-read it; if it moved we adopt the newer value, so
@@ -633,10 +640,24 @@ impl Protocol for MultiverseTx {
             }
         }
         self.local_mode = Mode::from_counter(self.local_mode_counter);
-        // The read clock MUST be a real load (refresh, not recall): a cached
-        // rv would admit this attempt at a timestamp the supersede gate may
-        // already have retired behind (see `crate::arena`, safety point 2).
-        self.core.rv = self.clock_cache.refresh(&self.rt.clock);
+        // The read clock MUST come from the shared clock (never a recall): a
+        // cached rv would admit this attempt at a timestamp the supersede
+        // gate may already have retired behind (see `crate::arena`, safety
+        // point 2). A versioned attempt owns its read clock: it advances the
+        // clock itself, so every commit stamped `>= rv` read the clock after
+        // this attempt began and `VersionList::traverse` may serialize this
+        // reader before it. The supersede-gate demo reverts this to a load.
+        #[cfg(feature = "sim")]
+        let owned_rv = self.versioned && !crate::broken::supersede_no_gate();
+        #[cfg(not(feature = "sim"))]
+        let owned_rv = self.versioned;
+        self.core.rv = if owned_rv {
+            let rv = self.rt.clock.increment();
+            self.clock_cache.note(rv);
+            rv
+        } else {
+            self.clock_cache.refresh(&self.rt.clock)
+        };
         if self.versioned && self.initial_versioned_ts == INVALID_TS {
             // First attempt on the versioned path: remember the initial
             // versioned timestamp for the commit-timestamp-delta heuristic.

@@ -148,26 +148,23 @@ impl VersionList {
     /// with at-clock versioned reads — an opacity violation observed as rare
     /// inconsistent sums in the bank-invariant tests.
     ///
-    /// A *committed* version stamped exactly at the read clock is therefore
-    /// ambiguous: its commit may have completed before this reader even
-    /// began (the clock need not have moved in between), so silently walking
-    /// past it to the older version can lose a write the caller itself
-    /// already committed — the raw path resolves the same ambiguity by
-    /// failing validation and retrying. Traverse does the same: it **aborts**
-    /// on a committed at-clock version instead of falling through, and the
-    /// abort path's clock tick guarantees the retry reads past the tie. A
-    /// committed version stamped strictly *above* the read clock is not
-    /// ambiguous (its commit observed a clock this reader's snapshot
-    /// predates) and is walked past as usual. TBD versions are never tied:
-    /// an in-flight writer has not completed, so serializing the reader
-    /// before it is always legitimate.
+    /// Every version that is not accepted is walked past, a committed one
+    /// stamped exactly at the read clock included. That is sound because a
+    /// versioned attempt *owns* its read clock: `MultiverseTx::begin` takes
+    /// it from its own `GlobalClock::increment`, so a commit stamped
+    /// `>= read_clock` read the clock after the reader began and had not
+    /// completed when it began. Serializing the reader before such a commit
+    /// is legitimate, and a write that completed before the reader began —
+    /// the caller's own included — is stamped below the read clock and
+    /// accepted. TBD versions are walked past for the same reason: an
+    /// in-flight writer has not completed.
     ///
     /// The strict rule also shapes reclamation: a reader walks *past* a
-    /// committed version stamped `T` only if its read clock is `<= T` —
-    /// with the tie abort that means strictly below `T` — which is why
-    /// superseded versions are retired only once the global clock exceeds
-    /// the superseding commit timestamp (see `arena` docs and
-    /// `MultiverseTx::flush_superseded`).
+    /// committed version stamped `T` only if its read clock is `<= T`, that
+    /// is, only if it pinned before the commit stamped `T` and hence before
+    /// the superseded version was retired. Superseded versions are moreover
+    /// retired only once the global clock exceeds the superseding commit
+    /// timestamp (see `arena` docs and `MultiverseTx::flush_superseded`).
     pub fn traverse(&self, read_clock: u64) -> TxResult<u64> {
         // Phase 1: wait while the head is a TBD version that could be
         // relevant to us. A TBD version resolves to a commit timestamp at
@@ -217,20 +214,6 @@ impl VersionList {
             let suitable = ts < read_clock;
             if !tbd && ts != DELETED_TS && suitable {
                 return Ok(node.data.load(Ordering::Acquire));
-            }
-            if !tbd && ts != DELETED_TS && ts == read_clock {
-                // Committed at-clock tie: possibly a write that completed
-                // before this reader began (see the doc comment). Abort and
-                // let the retry's fresher read clock disambiguate. The
-                // supersede-gate demo suppresses this and walks past — the
-                // historical behaviour whose use-after-free it reintroduces.
-                #[cfg(feature = "sim")]
-                let walk_past_tie = crate::broken::supersede_no_gate();
-                #[cfg(not(feature = "sim"))]
-                let walk_past_tie = false;
-                if !walk_past_tie {
-                    return Err(Abort);
-                }
             }
             cur = node.older.load(Ordering::Acquire);
         }
@@ -332,31 +315,31 @@ mod tests {
         assert_eq!(list.traverse(10), Ok(30));
         assert_eq!(list.traverse(8), Ok(20));
         assert_eq!(list.traverse(7), Ok(20));
-        // Strict rule: ts 6 is not < 6 — and a committed at-clock tie is
-        // ambiguous (its commit may precede the reader), so traverse aborts
-        // rather than silently returning the older version.
-        assert_eq!(list.traverse(6), Err(Abort), "committed tie must abort");
+        // Strict rule: ts 6 is not < 6, so a committed at-clock tie is
+        // walked past to the older version (the reader owns its clock, so
+        // that commit began after it).
+        assert_eq!(list.traverse(6), Ok(10), "committed tie is walked past");
         assert_eq!(list.traverse(3), Ok(10));
         assert_eq!(list.traverse(2), Err(Abort));
     }
 
     #[test]
-    fn committed_tie_aborts_but_tbd_and_future_versions_are_walked_past() {
+    fn committed_tie_tbd_and_future_versions_are_walked_past() {
         let list = VersionList::with_initial(2, 10);
         // A committed version strictly above the read clock is walked past
         // (its commit observed a clock the reader's snapshot predates)...
         let future = VersionNode::acquire(list.head(), 8, 99, false);
         list.push_head(future);
         assert_eq!(list.traverse(5), Ok(10));
-        // ...and an in-flight TBD version provisionally stamped *at* the
-        // read clock is not a tie (the writer has not completed).
+        // ...and so is an in-flight TBD version provisionally stamped *at*
+        // the read clock (the writer has not completed).
         let pending = VersionNode::acquire(list.head(), 5, 77, true);
         list.push_head(pending);
         assert_eq!(list.traverse(5), Ok(10));
-        // But once that version commits at the reader's clock, the tie is
-        // ambiguous and must abort.
+        // Once that version commits at the reader's clock it is still
+        // walked past: the commit read the clock after the reader took it.
         unsafe { &*pending }.resolve_committed(5);
-        assert_eq!(list.traverse(5), Err(Abort));
+        assert_eq!(list.traverse(5), Ok(10));
         assert_eq!(list.traverse(6), Ok(77));
     }
 

@@ -6,9 +6,15 @@
 //!
 //! * TL2 / TinySTM increment it at every writer commit,
 //! * DCTL and Multiverse use the *deferred* clock of Ramalhete & Correia:
-//!   the clock is only incremented when a transaction aborts (Listing 1 of the
-//!   paper, `abort()` line `nextClock = gClock.increment()`), which drastically
+//!   commits never advance it, and an abort does (Listing 1 of the paper,
+//!   `abort()` line `nextClock = gClock.increment()`), which drastically
 //!   reduces coherence traffic on the clock line for commit-heavy workloads.
+//!   Multiverse has a second writer: each *versioned* attempt takes its read
+//!   clock from its own [`GlobalClock::increment`] at begin. Every commit
+//!   stamped at or above that read clock then read the clock after the
+//!   attempt began, so the versioned reader may serialize before it and
+//!   walk past its version instead of aborting on the tie. Unversioned
+//!   attempts and commits still only load the clock.
 //!
 //! The clock itself is just a cache-padded `AtomicU64` (the padding spans
 //! two cache lines so the adjacent-line prefetcher cannot couple it to a
@@ -72,7 +78,9 @@ impl GlobalClock {
         self.value.load(Ordering::Acquire)
     }
 
-    /// Atomically increment the clock and return the *new* value.
+    /// Atomically increment the clock and return the *new* value. No other
+    /// caller can obtain the same value, which is what lets a Multiverse
+    /// versioned attempt own its read clock.
     #[inline(always)]
     pub fn increment(&self) -> u64 {
         self.value.fetch_add(1, Ordering::AcqRel) + 1
