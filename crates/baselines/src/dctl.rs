@@ -32,8 +32,8 @@ use tm_api::abort::TxResult;
 use tm_api::backoff::SpinWait;
 use tm_api::traits::Dtor;
 use tm_api::{
-    CachePadded, DctlCore, GlobalClock, Handle, LockTable, Protocol, StatsRegistry, ThreadStats,
-    TmRuntime, TmStatsSnapshot, Transaction, TxKind, TxWord, DEFAULT_STRIPES,
+    CachePadded, DctlCore, GlobalClock, Handle, LockTable, Protocol, Registration, Registry,
+    ThreadStats, TmRuntime, TmStatsSnapshot, Transaction, TxKind, TxWord, DEFAULT_STRIPES,
 };
 
 /// Configuration of a [`DctlRuntime`].
@@ -60,10 +60,11 @@ impl Default for DctlConfig {
 pub struct DctlRuntime {
     clock: GlobalClock,
     locks: LockTable,
-    stats: StatsRegistry,
+    registry: Arc<Registry>,
     ebr: Arc<Collector>,
-    next_tid: AtomicU64,
-    /// Owner tid of the single irrevocable slot, 0 when free.
+    /// Owner tid of the single irrevocable slot, 0 when free. 0 is never a
+    /// live handle's tid (the registry hands out `1..=MAX_TID - 1`), so a
+    /// nonzero value always names the one handle holding the token.
     irrevocable_owner: CachePadded<AtomicU64>,
     config: DctlConfig,
 }
@@ -74,9 +75,8 @@ impl DctlRuntime {
         Self {
             clock: GlobalClock::new(),
             locks: LockTable::new(config.stripes),
-            stats: StatsRegistry::new(),
+            registry: Arc::default(),
             ebr: Arc::new(Collector::new()),
-            next_tid: AtomicU64::new(1),
             irrevocable_owner: CachePadded::new(AtomicU64::new(0)),
             config,
         }
@@ -108,7 +108,7 @@ impl DctlRuntime {
 /// DCTL transaction descriptor.
 pub struct DctlTx {
     rt: Arc<DctlRuntime>,
-    stats: Arc<ThreadStats>,
+    reg: Registration,
     ebr: LocalHandle,
     mem: TxMem,
     core: DctlCore,
@@ -141,7 +141,7 @@ impl DctlTx {
 impl Transaction for DctlTx {
     fn read(&mut self, word: &TxWord) -> TxResult<u64> {
         self.core.reads += 1;
-        self.stats.reads.inc();
+        self.reg.stats().reads.inc();
         let idx = self.rt.locks.index_of(word.addr());
         let val = if self.irrevocable {
             // Irrevocable transactions claim locks on reads so that they can
@@ -156,7 +156,7 @@ impl Transaction for DctlTx {
     }
 
     fn write(&mut self, word: &TxWord, value: u64) -> TxResult<()> {
-        self.stats.writes.inc();
+        self.reg.stats().writes.inc();
         let idx = self.rt.locks.index_of(word.addr());
         if self.irrevocable {
             self.lock_stripe_blocking(idx);
@@ -190,7 +190,7 @@ impl Protocol for DctlTx {
         if self.irrevocable {
             self.rt.acquire_irrevocable(self.core.tid);
         }
-        self.stats.starts.inc();
+        self.reg.stats().starts.inc();
         self.ebr.pin();
         self.core.reset();
         self.core.rv = self.rt.clock.read();
@@ -220,7 +220,7 @@ impl Protocol for DctlTx {
         self.ebr.unpin();
         if self.irrevocable {
             self.rt.release_irrevocable(self.core.tid);
-            self.stats.irrevocable_commits.inc();
+            self.reg.stats().irrevocable_commits.inc();
         }
     }
 
@@ -242,7 +242,7 @@ impl Protocol for DctlTx {
     }
 
     fn stats(&self) -> &ThreadStats {
-        &self.stats
+        self.reg.stats()
     }
 }
 
@@ -250,13 +250,13 @@ impl TmRuntime for DctlRuntime {
     type Handle = Handle<DctlTx>;
 
     fn register(self: &Arc<Self>) -> Self::Handle {
-        let tid = (self.next_tid.fetch_add(1, Ordering::Relaxed)) & tm_api::MAX_TID;
+        let reg = self.registry.register();
         Handle::new(DctlTx {
             rt: Arc::clone(self),
-            stats: self.stats.register(),
+            core: DctlCore::new(reg.tid()),
+            reg,
             ebr: LocalHandle::new(Arc::clone(&self.ebr)),
             mem: TxMem::new(),
-            core: DctlCore::new(tid),
             irrevocable: false,
         })
     }
@@ -266,7 +266,7 @@ impl TmRuntime for DctlRuntime {
     }
 
     fn stats(&self) -> TmStatsSnapshot {
-        self.stats.snapshot()
+        self.registry.snapshot()
     }
 }
 

@@ -12,15 +12,15 @@ use tm_api::abort::TxResult;
 use tm_api::traits::Dtor;
 use tm_api::txset::UndoLog;
 use tm_api::{
-    Handle, Protocol, StatsRegistry, ThreadStats, TmRuntime, TmStatsSnapshot, Transaction, TxKind,
-    TxWord,
+    Handle, Protocol, Registration, Registry, ThreadStats, TmRuntime, TmStatsSnapshot, Transaction,
+    TxKind, TxWord,
 };
 
 /// Shared state of the global-lock TM.
 #[derive(Debug)]
 pub struct GlockRuntime {
     mutex: Mutex<()>,
-    stats: StatsRegistry,
+    registry: Arc<Registry>,
     ebr: Arc<Collector>,
 }
 
@@ -35,7 +35,7 @@ impl GlockRuntime {
     pub fn new() -> Self {
         Self {
             mutex: Mutex::new(()),
-            stats: StatsRegistry::new(),
+            registry: Arc::default(),
             ebr: Arc::new(Collector::new()),
         }
     }
@@ -44,7 +44,7 @@ impl GlockRuntime {
 /// Transaction descriptor of the global-lock TM.
 pub struct GlockTx {
     rt: Arc<GlockRuntime>,
-    stats: Arc<ThreadStats>,
+    reg: Registration,
     ebr: LocalHandle,
     mem: TxMem,
     undo: UndoLog,
@@ -61,7 +61,7 @@ impl GlockTx {
 
 impl Protocol for GlockTx {
     fn begin(&mut self, _kind: TxKind, _attempt: u64) {
-        self.stats.starts.inc();
+        self.reg.stats().starts.inc();
         self.ebr.pin();
         // Safety of the raw lock/unlock pairing: `Handle` follows every
         // `begin` with exactly one `commit` or `abort`, and both release.
@@ -82,21 +82,21 @@ impl Protocol for GlockTx {
     }
 
     fn stats(&self) -> &ThreadStats {
-        &self.stats
+        self.reg.stats()
     }
 }
 
 impl Transaction for GlockTx {
     fn read(&mut self, word: &TxWord) -> TxResult<u64> {
         self.reads += 1;
-        self.stats.reads.inc();
+        self.reg.stats().reads.inc();
         let val = word.tm_load();
         tm_api::record::on_read(word.addr(), val);
         Ok(val)
     }
 
     fn write(&mut self, word: &TxWord, value: u64) -> TxResult<()> {
-        self.stats.writes.inc();
+        self.reg.stats().writes.inc();
         self.undo.push(word, word.tm_load());
         word.tm_store(value);
         tm_api::record::on_write(word.addr(), value);
@@ -122,7 +122,7 @@ impl TmRuntime for GlockRuntime {
     fn register(self: &Arc<Self>) -> Self::Handle {
         Handle::new(GlockTx {
             rt: Arc::clone(self),
-            stats: self.stats.register(),
+            reg: self.registry.register(),
             ebr: LocalHandle::new(Arc::clone(&self.ebr)),
             mem: TxMem::new(),
             undo: UndoLog::default(),
@@ -135,7 +135,7 @@ impl TmRuntime for GlockRuntime {
     }
 
     fn stats(&self) -> TmStatsSnapshot {
-        self.stats.snapshot()
+        self.registry.snapshot()
     }
 }
 

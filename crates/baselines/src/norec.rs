@@ -16,15 +16,15 @@ use tm_api::backoff::SpinWait;
 use tm_api::traits::Dtor;
 use tm_api::txset::{RedoLog, ValueReadSet};
 use tm_api::{
-    Abort, CachePadded, Handle, Protocol, StatsRegistry, ThreadStats, TmRuntime, TmStatsSnapshot,
-    Transaction, TxKind, TxWord,
+    Abort, CachePadded, Handle, Protocol, Registration, Registry, ThreadStats, TmRuntime,
+    TmStatsSnapshot, Transaction, TxKind, TxWord,
 };
 
 /// Shared state of the NOrec STM: just the global sequence lock.
 #[derive(Debug)]
 pub struct NorecRuntime {
     seqlock: CachePadded<AtomicU64>,
-    stats: StatsRegistry,
+    registry: Arc<Registry>,
     ebr: Arc<Collector>,
 }
 
@@ -39,7 +39,7 @@ impl NorecRuntime {
     pub fn new() -> Self {
         Self {
             seqlock: CachePadded::new(AtomicU64::new(0)),
-            stats: StatsRegistry::new(),
+            registry: Arc::default(),
             ebr: Arc::new(Collector::new()),
         }
     }
@@ -66,7 +66,7 @@ impl NorecRuntime {
 /// NOrec transaction descriptor.
 pub struct NorecTx {
     rt: Arc<NorecRuntime>,
-    stats: Arc<ThreadStats>,
+    reg: Registration,
     ebr: LocalHandle,
     mem: TxMem,
     rv: u64,
@@ -93,7 +93,7 @@ impl NorecTx {
 
 impl Protocol for NorecTx {
     fn begin(&mut self, _kind: TxKind, _attempt: u64) {
-        self.stats.starts.inc();
+        self.reg.stats().starts.inc();
         self.ebr.pin();
         self.reads_values.clear();
         self.redo.clear();
@@ -140,14 +140,14 @@ impl Protocol for NorecTx {
     }
 
     fn stats(&self) -> &ThreadStats {
-        &self.stats
+        self.reg.stats()
     }
 }
 
 impl Transaction for NorecTx {
     fn read(&mut self, word: &TxWord) -> TxResult<u64> {
         self.reads += 1;
-        self.stats.reads.inc();
+        self.reg.stats().reads.inc();
         if let Some(v) = self.redo.lookup(word) {
             tm_api::record::on_read(word.addr(), v);
             return Ok(v);
@@ -163,7 +163,7 @@ impl Transaction for NorecTx {
     }
 
     fn write(&mut self, word: &TxWord, value: u64) -> TxResult<()> {
-        self.stats.writes.inc();
+        self.reg.stats().writes.inc();
         self.redo.insert(word, value);
         tm_api::record::on_write(word.addr(), value);
         Ok(())
@@ -188,7 +188,7 @@ impl TmRuntime for NorecRuntime {
     fn register(self: &Arc<Self>) -> Self::Handle {
         Handle::new(NorecTx {
             rt: Arc::clone(self),
-            stats: self.stats.register(),
+            reg: self.registry.register(),
             ebr: LocalHandle::new(Arc::clone(&self.ebr)),
             mem: TxMem::new(),
             rv: 0,
@@ -203,7 +203,7 @@ impl TmRuntime for NorecRuntime {
     }
 
     fn stats(&self) -> TmStatsSnapshot {
-        self.stats.snapshot()
+        self.registry.snapshot()
     }
 }
 

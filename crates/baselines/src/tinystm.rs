@@ -8,7 +8,7 @@
 //! current clock instead of aborting.
 
 use ebr::{Collector, LocalHandle, TxMem};
-use std::sync::atomic::{fence, AtomicU64, Ordering};
+use std::sync::atomic::{fence, Ordering};
 use std::sync::Arc;
 use tm_api::abort::TxResult;
 use tm_api::traits::Dtor;
@@ -16,8 +16,8 @@ use tm_api::txset::InlineVec;
 use tm_api::txset::{StripeReadSet, UndoLog};
 use tm_api::vlock::LockState;
 use tm_api::{
-    Abort, GlobalClock, Handle, LockTable, Protocol, StatsRegistry, ThreadStats, TmRuntime,
-    TmStatsSnapshot, Transaction, TxKind, TxWord, DEFAULT_STRIPES,
+    Abort, GlobalClock, Handle, LockTable, Protocol, Registration, Registry, ThreadStats,
+    TmRuntime, TmStatsSnapshot, Transaction, TxKind, TxWord, DEFAULT_STRIPES,
 };
 
 /// Configuration of a [`TinyStmRuntime`].
@@ -40,9 +40,8 @@ impl Default for TinyStmConfig {
 pub struct TinyStmRuntime {
     clock: GlobalClock,
     locks: LockTable,
-    stats: StatsRegistry,
+    registry: Arc<Registry>,
     ebr: Arc<Collector>,
-    next_tid: AtomicU64,
 }
 
 impl TinyStmRuntime {
@@ -51,9 +50,8 @@ impl TinyStmRuntime {
         Self {
             clock: GlobalClock::new(),
             locks: LockTable::new(config.stripes),
-            stats: StatsRegistry::new(),
+            registry: Arc::default(),
             ebr: Arc::new(Collector::new()),
-            next_tid: AtomicU64::new(1),
         }
     }
 
@@ -66,8 +64,7 @@ impl TinyStmRuntime {
 /// TinySTM transaction descriptor.
 pub struct TinyStmTx {
     rt: Arc<TinyStmRuntime>,
-    tid: u64,
-    stats: Arc<ThreadStats>,
+    reg: Registration,
     ebr: LocalHandle,
     mem: TxMem,
     rv: u64,
@@ -86,7 +83,7 @@ impl TinyStmTx {
     fn validate_reads(&self) -> TxResult<()> {
         for &idx in &self.read_set {
             let st = self.rt.locks.lock_at(idx).load();
-            let mine = st.locked && st.tid == self.tid;
+            let mine = st.locked && st.tid == self.reg.tid();
             if !(mine || (!st.locked && st.version <= self.rv)) {
                 return Err(Abort);
             }
@@ -106,7 +103,7 @@ impl TinyStmTx {
 
 impl Protocol for TinyStmTx {
     fn begin(&mut self, _kind: TxKind, _attempt: u64) {
-        self.stats.starts.inc();
+        self.reg.stats().starts.inc();
         self.ebr.pin();
         self.read_set.clear();
         self.undo.clear();
@@ -151,21 +148,21 @@ impl Protocol for TinyStmTx {
     }
 
     fn stats(&self) -> &ThreadStats {
-        &self.stats
+        self.reg.stats()
     }
 }
 
 impl Transaction for TinyStmTx {
     fn read(&mut self, word: &TxWord) -> TxResult<u64> {
         self.reads += 1;
-        self.stats.reads.inc();
+        self.reg.stats().reads.inc();
         let idx = self.rt.locks.index_of(word.addr());
         loop {
             let val = word.tm_load();
             fence(Ordering::Acquire);
             let st = self.rt.locks.lock_at(idx).load();
             if st.locked {
-                if st.tid == self.tid {
+                if st.tid == self.reg.tid() {
                     self.read_set.push(idx);
                     tm_api::record::on_read(word.addr(), val);
                     return Ok(val);
@@ -184,10 +181,10 @@ impl Transaction for TinyStmTx {
     }
 
     fn write(&mut self, word: &TxWord, value: u64) -> TxResult<()> {
-        self.stats.writes.inc();
+        self.reg.stats().writes.inc();
         let idx = self.rt.locks.index_of(word.addr());
         let st = self.rt.locks.lock_at(idx).load();
-        let owned = st.locked && st.tid == self.tid;
+        let owned = st.locked && st.tid == self.reg.tid();
         if !owned {
             if st.locked {
                 return Err(Abort);
@@ -196,7 +193,7 @@ impl Transaction for TinyStmTx {
                 // Attempt a snapshot extension before giving up.
                 self.try_extend()?;
             }
-            match self.rt.locks.lock_at(idx).try_lock(self.tid, false) {
+            match self.rt.locks.lock_at(idx).try_lock(self.reg.tid(), false) {
                 Ok(prev) => {
                     if prev.version > self.rv {
                         self.rt.locks.lock_at(idx).unlock_restore(prev);
@@ -230,11 +227,9 @@ impl TmRuntime for TinyStmRuntime {
     type Handle = Handle<TinyStmTx>;
 
     fn register(self: &Arc<Self>) -> Self::Handle {
-        let tid = (self.next_tid.fetch_add(1, Ordering::Relaxed)) & tm_api::MAX_TID;
         Handle::new(TinyStmTx {
             rt: Arc::clone(self),
-            tid,
-            stats: self.stats.register(),
+            reg: self.registry.register(),
             ebr: LocalHandle::new(Arc::clone(&self.ebr)),
             mem: TxMem::new(),
             rv: 0,
@@ -250,7 +245,7 @@ impl TmRuntime for TinyStmRuntime {
     }
 
     fn stats(&self) -> TmStatsSnapshot {
-        self.stats.snapshot()
+        self.registry.snapshot()
     }
 }
 

@@ -15,7 +15,7 @@
 //! every transaction attempt here is pinned in EBR.
 
 use ebr::{Collector, LocalHandle, TxMem};
-use std::sync::atomic::{fence, AtomicU64, Ordering};
+use std::sync::atomic::{fence, Ordering};
 use std::sync::Arc;
 use tm_api::abort::TxResult;
 use tm_api::traits::Dtor;
@@ -23,8 +23,8 @@ use tm_api::txset::InlineVec;
 use tm_api::txset::{LockedStripes, RedoLog, StripeReadSet};
 use tm_api::vlock::LockState;
 use tm_api::{
-    Abort, GlobalClock, Handle, LockTable, Protocol, StatsRegistry, ThreadStats, TmRuntime,
-    TmStatsSnapshot, Transaction, TxKind, TxWord, DEFAULT_STRIPES,
+    Abort, GlobalClock, Handle, LockTable, Protocol, Registration, Registry, ThreadStats,
+    TmRuntime, TmStatsSnapshot, Transaction, TxKind, TxWord, DEFAULT_STRIPES,
 };
 
 /// Configuration of a [`Tl2Runtime`].
@@ -47,9 +47,8 @@ impl Default for Tl2Config {
 pub struct Tl2Runtime {
     clock: GlobalClock,
     locks: LockTable,
-    stats: StatsRegistry,
+    registry: Arc<Registry>,
     ebr: Arc<Collector>,
-    next_tid: AtomicU64,
 }
 
 impl Tl2Runtime {
@@ -58,9 +57,8 @@ impl Tl2Runtime {
         Self {
             clock: GlobalClock::new(),
             locks: LockTable::new(config.stripes),
-            stats: StatsRegistry::new(),
+            registry: Arc::default(),
             ebr: Arc::new(Collector::new()),
-            next_tid: AtomicU64::new(1),
         }
     }
 
@@ -73,8 +71,7 @@ impl Tl2Runtime {
 /// TL2 transaction descriptor (owned by the per-thread handle).
 pub struct Tl2Tx {
     rt: Arc<Tl2Runtime>,
-    tid: u64,
-    stats: Arc<ThreadStats>,
+    reg: Registration,
     ebr: LocalHandle,
     mem: TxMem,
     read_set: StripeReadSet,
@@ -91,7 +88,7 @@ fn release_acquired(rt: &Tl2Runtime, acquired: &[(usize, LockState)]) {
 
 impl Protocol for Tl2Tx {
     fn begin(&mut self, _kind: TxKind, _attempt: u64) {
-        self.stats.starts.inc();
+        self.reg.stats().starts.inc();
         self.ebr.pin();
         self.read_set.clear();
         self.redo.clear();
@@ -118,7 +115,7 @@ impl Protocol for Tl2Tx {
             if held.contains(idx) {
                 continue; // stripe already locked by this commit (collision)
             }
-            match self.rt.locks.lock_at(idx).try_lock(self.tid, false) {
+            match self.rt.locks.lock_at(idx).try_lock(self.reg.tid(), false) {
                 Ok(prev) => {
                     // TL2 also requires the stripe version to be older than
                     // the read clock (the write may have been preceded by a
@@ -148,7 +145,7 @@ impl Protocol for Tl2Tx {
         if !(tick.advanced && wv == self.rv + 1) {
             for &idx in &self.read_set {
                 let st = self.rt.locks.lock_at(idx).load();
-                let mine = st.locked && st.tid == self.tid;
+                let mine = st.locked && st.tid == self.reg.tid();
                 let ok = mine || (!st.locked && st.version <= self.rv);
                 if !ok {
                     release_acquired(&self.rt, acquired.as_slice());
@@ -179,14 +176,14 @@ impl Protocol for Tl2Tx {
     }
 
     fn stats(&self) -> &ThreadStats {
-        &self.stats
+        self.reg.stats()
     }
 }
 
 impl Transaction for Tl2Tx {
     fn read(&mut self, word: &TxWord) -> TxResult<u64> {
         self.reads += 1;
-        self.stats.reads.inc();
+        self.reg.stats().reads.inc();
         if let Some(v) = self.redo.lookup(word) {
             tm_api::record::on_read(word.addr(), v);
             return Ok(v);
@@ -210,7 +207,7 @@ impl Transaction for Tl2Tx {
     }
 
     fn write(&mut self, word: &TxWord, value: u64) -> TxResult<()> {
-        self.stats.writes.inc();
+        self.reg.stats().writes.inc();
         self.redo.insert(word, value);
         tm_api::record::on_write(word.addr(), value);
         Ok(())
@@ -233,11 +230,9 @@ impl TmRuntime for Tl2Runtime {
     type Handle = Handle<Tl2Tx>;
 
     fn register(self: &Arc<Self>) -> Self::Handle {
-        let tid = self.next_tid.fetch_add(1, Ordering::Relaxed) & tm_api::MAX_TID;
         Handle::new(Tl2Tx {
             rt: Arc::clone(self),
-            tid,
-            stats: self.stats.register(),
+            reg: self.registry.register(),
             ebr: LocalHandle::new(Arc::clone(&self.ebr)),
             mem: TxMem::new(),
             read_set: StripeReadSet::new(),
@@ -252,7 +247,7 @@ impl TmRuntime for Tl2Runtime {
     }
 
     fn stats(&self) -> TmStatsSnapshot {
-        self.stats.snapshot()
+        self.registry.snapshot()
     }
 }
 

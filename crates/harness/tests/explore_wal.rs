@@ -25,15 +25,16 @@ const BOUND: u32 = 1;
 /// the pin, anything else is a determinism bug. (The checkpoint-write and
 /// rotate cells are smaller: their injected fault stops the pipeline before
 /// some late yield points exist.)
-// Pins re-measured when the checkpoint writer's versioned begin started
-// taking its read clock with `increment` (one fetch_add) instead of a
-// load — a different instrumented-op sequence on that yield point.
+// Pins re-measured when handle registration moved onto one tid-indexed
+// registry: `register` takes one lock instead of a tid counter's fetch_add
+// plus two registry locks, and a handle's drop takes that lock — a
+// different instrumented-op sequence around each model thread's handle.
 const PINS: &[(WalScenario, u64)] = &[
-    (WalScenario::Commit, 98),
-    (WalScenario::Crash(Site::Append), 98),
-    (WalScenario::Crash(Site::Fsync), 98),
-    (WalScenario::Crash(Site::CheckpointWrite), 93),
-    (WalScenario::Crash(Site::Rotate), 93),
+    (WalScenario::Commit, 95),
+    (WalScenario::Crash(Site::Append), 95),
+    (WalScenario::Crash(Site::Fsync), 95),
+    (WalScenario::Crash(Site::CheckpointWrite), 90),
+    (WalScenario::Crash(Site::Rotate), 90),
 ];
 
 #[test]

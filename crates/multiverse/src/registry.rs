@@ -1,21 +1,23 @@
 //! Per-thread announcement slots read by the background thread (§4.3).
 //!
-//! Each registered worker owns one [`ThreadSlot`]. At the start of every
-//! transaction attempt the worker announces its local mode counter and what
-//! kind of attempt it is running; the background thread scans these slots to
-//! decide when all stragglers of an old mode have drained and the next mode
-//! transition is safe, to collect commit-timestamp deltas for the
-//! unversioning heuristic, and to decide (via the sticky bits) when to leave
-//! Mode U.
+//! Each registered worker owns one [`ThreadSlot`]: the payload of its
+//! handle's [`Registration`](tm_api::Registration) in the runtime's
+//! [`Registry`]. At the start of every transaction attempt the worker
+//! announces its local mode counter and what kind of attempt it is running;
+//! the background thread scans these slots to decide when all stragglers of
+//! an old mode have drained and the next mode transition is safe, to
+//! collect commit-timestamp deltas for the unversioning heuristic, and to
+//! decide (via the sticky bits) when to leave Mode U.
 //!
-//! A slot lives as long as its handle: when the handle drops it withdraws
-//! its sticky bit and delta ([`ThreadSlot::withdraw`]), and the registry
-//! forgets every slot it alone still references, so neither a dead
-//! handle's state nor its slot outlives it.
+//! The scans ([`any_stale_worker`], [`any_sticky_mode_u`],
+//! [`average_commit_ts_delta`]) fold over the registry's live entries. A
+//! slot counts exactly as long as its handle lives: the handle's drop frees
+//! its entry, which the scans skip, so a dropped handle's sticky bit and
+//! last delta stop counting at once, and the next holder of the tid starts
+//! from a fresh slot.
 
-use std::sync::Arc;
-use tm_api::sync::{fence, AtomicBool, AtomicU64, Mutex, MutexGuard, Ordering};
-use tm_api::CachePadded;
+use tm_api::sync::{fence, AtomicBool, AtomicU64, Ordering};
+use tm_api::{CachePadded, Registry};
 
 /// Sentinel announced when a thread has no active transaction attempt.
 pub const INACTIVE: u64 = u64::MAX;
@@ -82,7 +84,7 @@ impl ThreadSlot {
     ///
     /// `Acquire` is sufficient for the background thread's scans: the
     /// store→load ordering of the drain protocol comes from the `SeqCst`
-    /// fences in [`WorkerRegistry::any_stale_worker`] (scan side) and
+    /// fences in [`any_stale_worker`] (scan side) and
     /// `MultiverseTx::begin` (worker side), not from this load.
     #[inline]
     pub fn local_mode_counter(&self) -> u64 {
@@ -127,103 +129,51 @@ impl ThreadSlot {
             d => Some(d),
         }
     }
-
-    /// Withdraw the runtime-wide state this slot announces, for a handle
-    /// that is going away: its sticky bit (which would otherwise pin Mode
-    /// U) and its last delta (which would otherwise keep feeding the
-    /// unversioning sample window). `sticky` is the handle's own mirror of
-    /// its sticky bit, so a handle that never set it stores nothing.
-    pub fn withdraw(&self, sticky: bool) {
-        if sticky {
-            self.set_sticky_mode_u(false);
-        }
-        self.commit_ts_delta.store(NO_DELTA, Ordering::Relaxed);
-    }
 }
 
-/// Registry of every worker thread's announcement slot.
-#[derive(Debug, Default)]
-pub struct WorkerRegistry {
-    slots: Mutex<Vec<Arc<ThreadSlot>>>,
-}
-
-impl WorkerRegistry {
-    /// Create an empty registry.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Register a new worker and return its slot.
-    pub fn register(&self) -> Arc<ThreadSlot> {
-        let slot = Arc::new(ThreadSlot::default());
-        self.live().push(Arc::clone(&slot));
-        slot
-    }
-
-    /// The slot list with dead slots pruned. A slot is dead once its
-    /// handle has dropped, i.e. when the registry holds the only reference;
-    /// nothing can revive it (the registry hands out a slot's reference
-    /// only from `register`), so pruning it is final. Pruning on every
-    /// register and scan bounds the list by the number of live handles.
-    fn live(&self) -> MutexGuard<'_, Vec<Arc<ThreadSlot>>> {
-        let mut slots = self.slots.lock().unwrap();
-        slots.retain(|s| Arc::strong_count(s) > 1);
-        slots
-    }
-
-    /// Number of live registered workers.
-    pub fn len(&self) -> usize {
-        self.live().len()
-    }
-
-    /// Whether no live worker is registered.
-    pub fn is_empty(&self) -> bool {
-        self.live().is_empty()
-    }
-
-    /// True if some *active* attempt matching `filter` is still running with
-    /// a local mode counter strictly below `target_counter`. Used by the
-    /// background thread's `waitForWorkers` loops.
-    pub fn any_stale_worker(
-        &self,
-        target_counter: u64,
-        filter: impl Fn(&ThreadSlot) -> bool,
-    ) -> bool {
-        // Pair with the SeqCst fence in `MultiverseTx::begin`: the caller
-        // advanced (or re-read) the global mode counter before this scan, and
-        // this fence orders that access before the slot loads below. Together
-        // the two fences guarantee that a worker which did not observe the
-        // new counter value during its announce-and-confirm handshake is
-        // visible to this scan as still announcing the old counter — the
-        // invariant the drain loops rely on. This path runs only in the
-        // background thread, so the fence costs nothing on the hot path.
-        fence(Ordering::SeqCst);
-        self.live().iter().any(|s| {
+/// True if some *active* attempt matching `filter` is still running with a
+/// local mode counter strictly below `target_counter`. Used by the
+/// background thread's `waitForWorkers` loops.
+pub fn any_stale_worker(
+    registry: &Registry<ThreadSlot>,
+    target_counter: u64,
+    filter: impl Fn(&ThreadSlot) -> bool,
+) -> bool {
+    // Pair with the SeqCst fence in `MultiverseTx::begin`: the caller
+    // advanced (or re-read) the global mode counter before this scan, and
+    // this fence orders that access before the slot loads below. Together
+    // the two fences guarantee that a worker which did not observe the new
+    // counter value during its announce-and-confirm handshake is visible to
+    // this scan as still announcing the old counter — the invariant the
+    // drain loops rely on. This path runs only in the background thread, so
+    // the fence costs nothing on the hot path.
+    fence(Ordering::SeqCst);
+    registry.fold(false, |stale, s| {
+        stale || {
             let c = s.local_mode_counter();
             c != INACTIVE && c < target_counter && filter(s)
-        })
-    }
-
-    /// True if any thread currently has its sticky Mode-U flag set.
-    pub fn any_sticky_mode_u(&self) -> bool {
-        self.live().iter().any(|s| s.sticky_mode_u())
-    }
-
-    /// Average of all announced commit-timestamp deltas, if any.
-    pub fn average_commit_ts_delta(&self) -> Option<u64> {
-        let slots = self.live();
-        let deltas: Vec<u64> = slots.iter().filter_map(|s| s.commit_ts_delta()).collect();
-        if deltas.is_empty() {
-            None
-        } else {
-            Some(deltas.iter().sum::<u64>() / deltas.len() as u64)
         }
-    }
+    })
+}
+
+/// True if any live thread has its sticky Mode-U flag set.
+pub fn any_sticky_mode_u(registry: &Registry<ThreadSlot>) -> bool {
+    registry.fold(false, |sticky, s| sticky || s.sticky_mode_u())
+}
+
+/// Average of the live threads' announced commit-timestamp deltas, if any.
+pub fn average_commit_ts_delta(registry: &Registry<ThreadSlot>) -> Option<u64> {
+    let (sum, n) = registry.fold((0u64, 0u64), |(sum, n), s| match s.commit_ts_delta() {
+        Some(d) => (sum + d, n + 1),
+        None => (sum, n),
+    });
+    (n > 0).then(|| sum / n)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Arc;
 
     #[test]
     fn announce_and_clear() {
@@ -237,85 +187,81 @@ mod tests {
         assert_eq!(slot.local_mode_counter(), INACTIVE);
     }
 
+    fn registry() -> Arc<Registry<ThreadSlot>> {
+        Arc::default()
+    }
+
     #[test]
     fn stale_worker_detection_respects_filters() {
-        let reg = WorkerRegistry::new();
+        let reg = registry();
         let a = reg.register();
         let b = reg.register();
-        a.announce(1, true, false); // stale updater (counter 1 < 2)
-        b.announce(2, false, true); // up-to-date versioned reader
-        assert!(reg.any_stale_worker(2, |s| s.is_update()));
-        assert!(!reg.any_stale_worker(2, |s| s.is_versioned()));
-        a.clear_active();
-        assert!(!reg.any_stale_worker(2, |_| true));
+        a.payload().announce(1, true, false); // stale updater (counter 1 < 2)
+        b.payload().announce(2, false, true); // up-to-date versioned reader
+        assert!(any_stale_worker(&reg, 2, |s| s.is_update()));
+        assert!(!any_stale_worker(&reg, 2, |s| s.is_versioned()));
+        a.payload().clear_active();
+        assert!(!any_stale_worker(&reg, 2, |_| true));
     }
 
     #[test]
     fn idle_threads_never_block_transitions() {
-        let reg = WorkerRegistry::new();
+        let reg = registry();
         let _idle = reg.register();
-        assert!(!reg.any_stale_worker(100, |_| true));
+        assert!(!any_stale_worker(&reg, 100, |_| true));
     }
 
     #[test]
     fn sticky_flags_aggregate() {
-        let reg = WorkerRegistry::new();
+        let reg = registry();
         let a = reg.register();
         let b = reg.register();
-        assert!(!reg.any_sticky_mode_u());
-        b.set_sticky_mode_u(true);
-        assert!(reg.any_sticky_mode_u());
-        b.set_sticky_mode_u(false);
-        a.set_sticky_mode_u(false);
-        assert!(!reg.any_sticky_mode_u());
+        assert!(!any_sticky_mode_u(&reg));
+        b.payload().set_sticky_mode_u(true);
+        assert!(any_sticky_mode_u(&reg));
+        b.payload().set_sticky_mode_u(false);
+        a.payload().set_sticky_mode_u(false);
+        assert!(!any_sticky_mode_u(&reg));
     }
 
     #[test]
     fn delta_average() {
-        let reg = WorkerRegistry::new();
+        let reg = registry();
         let a = reg.register();
         let b = reg.register();
-        assert_eq!(reg.average_commit_ts_delta(), None);
-        a.announce_commit_ts_delta(10);
-        b.announce_commit_ts_delta(20);
-        assert_eq!(reg.average_commit_ts_delta(), Some(15));
-        assert_eq!(a.commit_ts_delta(), Some(10));
+        assert_eq!(average_commit_ts_delta(&reg), None);
+        a.payload().announce_commit_ts_delta(10);
+        b.payload().announce_commit_ts_delta(20);
+        assert_eq!(average_commit_ts_delta(&reg), Some(15));
+        assert_eq!(a.payload().commit_ts_delta(), Some(10));
     }
 
     #[test]
-    fn registry_len() {
-        let reg = WorkerRegistry::new();
-        assert!(reg.is_empty());
-        let _a = reg.register();
-        let _b = reg.register();
-        assert_eq!(reg.len(), 2);
-    }
-
-    #[test]
-    fn dead_slots_are_pruned_and_stop_counting() {
-        let reg = WorkerRegistry::new();
+    fn dropped_slots_stop_counting() {
+        let reg = registry();
         let live = reg.register();
-        live.announce_commit_ts_delta(10);
+        live.payload().announce_commit_ts_delta(10);
         for _ in 0..100 {
             let dead = reg.register();
-            dead.set_sticky_mode_u(true);
-            dead.announce_commit_ts_delta(1_000);
+            dead.payload().set_sticky_mode_u(true);
+            dead.payload().announce_commit_ts_delta(1_000);
+            assert!(any_sticky_mode_u(&reg));
         }
-        // Each dropped slot went at the next register; the last one goes
-        // at the next scan, before it can pin Mode U or skew the average.
-        assert!(!reg.any_sticky_mode_u());
-        assert_eq!(reg.average_commit_ts_delta(), Some(10));
-        assert_eq!(reg.len(), 1);
+        // Each slot stopped counting when its handle dropped, before it
+        // could pin Mode U or skew the average.
+        assert!(!any_sticky_mode_u(&reg));
+        assert_eq!(average_commit_ts_delta(&reg), Some(10));
+        assert_eq!(reg.fold(0, |n, _| n + 1), 1);
     }
 
     #[test]
-    fn withdraw_clears_sticky_and_delta() {
-        let reg = WorkerRegistry::new();
+    fn a_dropped_handle_takes_its_sticky_bit_and_delta_along() {
+        let reg = registry();
         let a = reg.register();
-        a.set_sticky_mode_u(true);
-        a.announce_commit_ts_delta(7);
-        a.withdraw(true);
-        assert!(!reg.any_sticky_mode_u());
-        assert_eq!(reg.average_commit_ts_delta(), None);
+        a.payload().set_sticky_mode_u(true);
+        a.payload().announce_commit_ts_delta(7);
+        drop(a);
+        assert!(!any_sticky_mode_u(&reg));
+        assert_eq!(average_commit_ts_delta(&reg), None);
     }
 }

@@ -5,7 +5,7 @@
 use crate::arena;
 use crate::config::{ForcedMode, MultiverseConfig};
 use crate::modes::Mode;
-use crate::registry::WorkerRegistry;
+use crate::registry::{any_stale_worker, any_sticky_mode_u, average_commit_ts_delta, ThreadSlot};
 use crate::txn::MultiverseTx;
 use crate::vlt::Vlt;
 use ebr::{Collector, LocalHandle};
@@ -14,8 +14,7 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 use tm_api::sync::{AtomicBool, AtomicI64, AtomicU64, Mutex, Ordering};
 use tm_api::{
-    BloomTable, CachePadded, GlobalClock, Handle, LockTable, StatsRegistry, TmRuntime,
-    TmStatsSnapshot,
+    BloomTable, CachePadded, GlobalClock, Handle, LockTable, Registry, TmRuntime, TmStatsSnapshot,
 };
 
 /// Sentinel: the first observed Mode-U timestamp is not currently valid.
@@ -31,14 +30,13 @@ pub struct MultiverseRuntime {
     pub(crate) locks: LockTable,
     pub(crate) vlt: Vlt,
     pub(crate) bloom: BloomTable,
-    pub(crate) stats: StatsRegistry,
+    /// Every live handle's tid, stats row and announcement slot.
+    pub(crate) registry: Arc<Registry<ThreadSlot>>,
     pub(crate) ebr: Arc<Collector>,
-    pub(crate) registry: WorkerRegistry,
     global_mode_counter: CachePadded<AtomicU64>,
     first_obs_mode_u_ts: CachePadded<AtomicU64>,
     min_mode_u_read_count: CachePadded<AtomicU64>,
     version_bytes: AtomicI64,
-    next_tid: AtomicU64,
     stop_bg: AtomicBool,
     bg_join: Mutex<Option<JoinHandle<()>>>,
     /// Buckets unversioned by the background thread (diagnostic counter).
@@ -69,14 +67,12 @@ impl MultiverseRuntime {
             locks: LockTable::new(stripes),
             vlt: Vlt::new(stripes),
             bloom: BloomTable::new(stripes),
-            stats: StatsRegistry::new(),
+            registry: Arc::default(),
             ebr: Arc::new(Collector::new()),
-            registry: WorkerRegistry::new(),
             global_mode_counter: CachePadded::new(AtomicU64::new(initial_counter)),
             first_obs_mode_u_ts: CachePadded::new(AtomicU64::new(initial_first_obs)),
             min_mode_u_read_count: CachePadded::new(AtomicU64::new(u64::MAX)),
             version_bytes: AtomicI64::new(0),
-            next_tid: AtomicU64::new(1),
             stop_bg: AtomicBool::new(false),
             bg_join: Mutex::new(None),
             buckets_unversioned: AtomicU64::new(0),
@@ -120,7 +116,7 @@ impl MultiverseRuntime {
     /// counter), and (b) store→load ordering between a worker's slot
     /// announcement and its confirming re-read of the counter — which is
     /// supplied by an explicit `SeqCst` fence in `MultiverseTx::begin`, not
-    /// by this load. See `begin()` and `WorkerRegistry::any_stale_worker`.
+    /// by this load. See `begin()` and `registry::any_stale_worker`.
     #[inline]
     pub fn mode_counter(&self) -> u64 {
         self.global_mode_counter.load(Ordering::Acquire)
@@ -279,14 +275,7 @@ impl TmRuntime for MultiverseRuntime {
     type Handle = Handle<MultiverseTx>;
 
     fn register(self: &Arc<Self>) -> Self::Handle {
-        // Thread ids 1..MAX_TID-1: 0 is never used and MAX_TID is reserved
-        // for the background thread's lock acquisitions.
-        let raw = self.next_tid.fetch_add(1, Ordering::Relaxed);
-        let tid = 1 + (raw % (tm_api::MAX_TID - 1));
-        let slot = self.registry.register();
-        let stats = self.stats.register();
-        let ebr = LocalHandle::new(Arc::clone(&self.ebr));
-        Handle::new(MultiverseTx::new(Arc::clone(self), tid, slot, stats, ebr))
+        Handle::new(MultiverseTx::new(Arc::clone(self)))
     }
 
     fn name(&self) -> &'static str {
@@ -298,7 +287,7 @@ impl TmRuntime for MultiverseRuntime {
     }
 
     fn stats(&self) -> TmStatsSnapshot {
-        let mut snap = self.stats.snapshot();
+        let mut snap = self.registry.snapshot();
         snap.buckets_unversioned += self.unversioned_bucket_count();
         snap.pool_retires += self.bg_pool_retires.load(Ordering::Relaxed);
         // The workers count only their Q->QtoU CASes; the runtime counts
@@ -352,7 +341,8 @@ fn run_mode_machine(rt: &MultiverseRuntime) {
         Mode::QtoU => {
             // Wait for updaters that still run with local Mode Q (they do not
             // version their writes) to drain, then enter Mode U.
-            if !rt.registry.any_stale_worker(counter, |s| s.is_update()) && rt.advance_mode(counter)
+            if !any_stale_worker(&rt.registry, counter, |s| s.is_update())
+                && rt.advance_mode(counter)
             {
                 // Record the first observed Mode-U timestamp used by the
                 // earliest-safe-timestamp optimization (§4.2).
@@ -362,14 +352,14 @@ fn run_mode_machine(rt: &MultiverseRuntime) {
         }
         Mode::U => {
             // Stay in Mode U while any thread still wants it (sticky bits).
-            if !rt.registry.any_sticky_mode_u() {
+            if !any_sticky_mode_u(&rt.registry) {
                 rt.advance_mode(counter);
             }
         }
         Mode::UtoQ => {
             // Wait for versioned readers that still run with local Mode U to
             // drain, then invalidate the Mode-U timestamp and return to Q.
-            if !rt.registry.any_stale_worker(counter, |s| s.is_versioned()) {
+            if !any_stale_worker(&rt.registry, counter, |s| s.is_versioned()) {
                 rt.first_obs_mode_u_ts
                     .store(FIRST_OBS_INVALID, Ordering::Release);
                 rt.advance_mode(counter);
@@ -391,7 +381,7 @@ fn run_mode_machine(rt: &MultiverseRuntime) {
 /// pass; that delays unversioning (liveness) and can never unversion a
 /// bucket wrongly (see the `vlt` module docs).
 fn run_unversioning(rt: &MultiverseRuntime, ebr: &mut LocalHandle, samples: &mut Vec<u64>) {
-    if let Some(avg) = rt.registry.average_commit_ts_delta() {
+    if let Some(avg) = average_commit_ts_delta(&rt.registry) {
         samples.push(avg);
         let l = rt.cfg.l_delta_samples.max(1);
         if samples.len() > l {
@@ -766,7 +756,8 @@ mod tests {
             rt.current_mode(),
             rt.unversioned_bucket_count()
         );
-        assert_eq!(rt.registry.len(), 1, "the dropped handle's slot was pruned");
+        let live = rt.registry.fold(0, |n, _| n + 1);
+        assert_eq!(live, 1, "the dropped handle's slot left the registry");
     }
 
     #[test]

@@ -28,7 +28,7 @@ use tm_api::sync::{fence, Ordering};
 use tm_api::traits::Dtor;
 use tm_api::txset::InlineVec;
 use tm_api::vlock::LockState;
-use tm_api::{Abort, DctlCore, Protocol, ThreadStats, Transaction, TxKind, TxWord};
+use tm_api::{Abort, DctlCore, Protocol, Registration, ThreadStats, Transaction, TxKind, TxWord};
 
 /// Sentinel for "no initial versioned timestamp recorded yet".
 pub(crate) const INVALID_TS: u64 = u64::MAX;
@@ -66,8 +66,8 @@ const SUPERSEDE_FORCE_AT: usize = 96;
 /// across attempts and operations.
 pub struct MultiverseTx {
     pub(crate) rt: Arc<MultiverseRuntime>,
-    pub(crate) slot: Arc<ThreadSlot>,
-    pub(crate) stats: Arc<ThreadStats>,
+    /// The handle's tid, stats row and announcement slot.
+    pub(crate) reg: Registration<ThreadSlot>,
     pub(crate) ebr: LocalHandle,
     mem: TxMem,
     /// Per-thread handle onto the shared version-node arena.
@@ -106,23 +106,19 @@ pub struct MultiverseTx {
 }
 
 impl MultiverseTx {
-    pub(crate) fn new(
-        rt: Arc<MultiverseRuntime>,
-        tid: u64,
-        slot: Arc<ThreadSlot>,
-        stats: Arc<ThreadStats>,
-        ebr: LocalHandle,
-    ) -> Self {
+    /// The descriptor of a new handle of `rt`. The registry hands out tids
+    /// `1..=MAX_TID - 1`, so none is the background thread's `BG_TID`.
+    pub(crate) fn new(rt: Arc<MultiverseRuntime>) -> Self {
+        let reg = rt.registry.register();
         Self {
+            core: DctlCore::new(reg.tid()),
+            reg,
+            ebr: LocalHandle::new(Arc::clone(&rt.ebr)),
             rt,
-            slot,
-            stats,
-            ebr,
             mem: TxMem::new(),
             pool: arena::pool_handle(),
             superseded: InlineVec::new(),
             clock_cache: ClockCache::new(),
-            core: DctlCore::new(tid),
             kind: TxKind::ReadOnly,
             local_mode_counter: 0,
             local_mode: Mode::Q,
@@ -206,7 +202,7 @@ impl MultiverseTx {
         // address is not yet present.
         unsafe { self.rt.vlt.insert(idx, node) };
         self.rt.bloom.try_add(idx, addr);
-        self.stats.addresses_versioned.inc();
+        self.reg.stats().addresses_versioned.inc();
         self.rt.locks.lock_at(idx).unlock_restore(prev);
         if !prev.validate(self.core.rv, self.core.tid) {
             // The address changed after our read clock; the (now-created)
@@ -300,8 +296,8 @@ impl MultiverseTx {
         // `pool_allocs` is derived as hits + misses in the stats snapshot;
         // no third counter bump on this hot path.
         match src {
-            SlotSource::Hit => self.stats.pool_hits.inc(),
-            SlotSource::Miss => self.stats.pool_misses.inc(),
+            SlotSource::Hit => self.reg.stats().pool_hits.inc(),
+            SlotSource::Miss => self.reg.stats().pool_misses.inc(),
         }
         p
     }
@@ -361,9 +357,9 @@ impl MultiverseTx {
     #[inline]
     fn tick_clock(&mut self, observed: u64) -> Tick {
         let tick = self.rt.clock.tick(observed);
-        self.stats.clock_ticks.inc();
+        self.reg.stats().clock_ticks.inc();
         if tick.retries != 0 {
-            self.stats.clock_tick_retries.add(tick.retries as u64);
+            self.reg.stats().clock_tick_retries.add(tick.retries as u64);
         }
         self.clock_cache.note(tick.value);
         tick
@@ -424,7 +420,7 @@ impl MultiverseTx {
                 arena::recycle_version_node,
                 arena::NODE_SLOT_BYTES,
             );
-            self.stats.pool_retires.inc();
+            self.reg.stats().pool_retires.inc();
             self.rt.sub_version_bytes(arena::NODE_SLOT_BYTES);
         }
         self.superseded.clear();
@@ -464,7 +460,7 @@ impl MultiverseTx {
                 // above proved the address is not yet present.
                 unsafe { self.rt.vlt.insert(idx, node) };
                 self.rt.bloom.try_add(idx, addr);
-                self.stats.addresses_versioned.inc();
+                self.reg.stats().addresses_versioned.inc();
                 // Safety: we just created and published the node under the
                 // stripe lock; it is reclaimed only through EBR.
                 unsafe { &(*node).vlist }
@@ -507,7 +503,7 @@ impl MultiverseTx {
 
     fn on_read_only_commit(&mut self) {
         if self.versioned {
-            self.stats.versioned_commits.inc();
+            self.reg.stats().versioned_commits.inc();
             // The cached lower bound is enough here: the delta only feeds the
             // unversioning heuristic, and understating it by a few ticks just
             // makes that heuristic marginally more conservative — not worth a
@@ -516,9 +512,9 @@ impl MultiverseTx {
                 .clock_cache
                 .recall()
                 .saturating_sub(self.initial_versioned_ts.min(self.core.rv));
-            self.slot.announce_commit_ts_delta(delta);
+            self.reg.payload().announce_commit_ts_delta(delta);
             if self.local_mode == Mode::U {
-                self.stats.mode_u_commits.inc();
+                self.reg.stats().mode_u_commits.inc();
                 self.rt.update_min_mode_u_read_count(self.core.reads);
             }
         }
@@ -546,7 +542,7 @@ impl MultiverseTx {
             self.consec_small += 1;
             if self.consec_small >= s {
                 self.sticky_mode_u = false;
-                self.slot.set_sticky_mode_u(false);
+                self.reg.payload().set_sticky_mode_u(false);
             }
         } else {
             self.consec_small = 0;
@@ -573,10 +569,10 @@ impl MultiverseTx {
         }
         let initiated = self.rt.try_initiate_qtou(self.local_mode_counter);
         if initiated {
-            self.stats.mode_transitions.inc();
+            self.reg.stats().mode_transitions.inc();
         }
         self.sticky_mode_u = true;
-        self.slot.set_sticky_mode_u(true);
+        self.reg.payload().set_sticky_mode_u(true);
         self.pending_small_threshold = true;
         self.consec_small = 0;
     }
@@ -595,7 +591,7 @@ impl Protocol for MultiverseTx {
             self.last_attempt_reads = 0;
         }
         self.kind = kind;
-        self.stats.starts.inc();
+        self.reg.stats().starts.inc();
         self.ebr.pin();
         self.core.reset();
         self.vwrites.clear();
@@ -621,7 +617,8 @@ impl Protocol for MultiverseTx {
         // than one step behind the counter it published before scanning.
         loop {
             let c1 = self.rt.mode_counter();
-            self.slot
+            self.reg
+                .payload()
                 .announce(c1, kind == TxKind::ReadWrite, self.versioned);
             // Safety: this fence supplies the store→load ordering the
             // announce-and-confirm handshake needs now that the counter load
@@ -709,7 +706,7 @@ impl Protocol for MultiverseTx {
     fn commit(&mut self) {
         self.mem.on_commit(&mut self.ebr);
         self.flush_superseded();
-        self.slot.clear_active();
+        self.reg.payload().clear_active();
         self.ebr.unpin();
     }
 
@@ -735,7 +732,7 @@ impl Protocol for MultiverseTx {
                 arena::recycle_version_node,
                 arena::NODE_SLOT_BYTES,
             );
-            self.stats.pool_retires.inc();
+            self.reg.stats().pool_retires.inc();
             self.rt.sub_version_bytes(arena::NODE_SLOT_BYTES);
         }
         self.vwrites.clear();
@@ -764,16 +761,16 @@ impl Protocol for MultiverseTx {
             self.consider_mode_u_transition();
         }
         if self.versioned {
-            self.stats.versioned_aborts.inc();
+            self.reg.stats().versioned_aborts.inc();
         }
         self.last_attempt_reads = self.core.reads;
         self.core.read_set.clear();
-        self.slot.clear_active();
+        self.reg.payload().clear_active();
         self.ebr.unpin();
     }
 
     fn stats(&self) -> &ThreadStats {
-        &self.stats
+        self.reg.stats()
     }
 }
 
@@ -787,17 +784,13 @@ impl Drop for MultiverseTx {
             self.tick_clock(newest);
             self.flush_superseded();
         }
-        // A dropped handle must not keep the TM in Mode U or keep feeding
-        // the unversioning heuristic; the registry prunes the slot itself
-        // once this handle's reference is gone.
-        self.slot.withdraw(self.sticky_mode_u);
     }
 }
 
 impl Transaction for MultiverseTx {
     fn read(&mut self, word: &TxWord) -> TxResult<u64> {
         self.core.reads += 1;
-        self.stats.reads.inc();
+        self.reg.stats().reads.inc();
         let idx = self.rt.locks.index_of(word.addr());
         let result = if self.versioned {
             // Versioned readers use the Mode-U protocol only while their
@@ -818,7 +811,7 @@ impl Transaction for MultiverseTx {
     }
 
     fn write(&mut self, word: &TxWord, value: u64) -> TxResult<()> {
-        self.stats.writes.inc();
+        self.reg.stats().writes.inc();
         // Refused before any lock: the QtoU -> U drain waits only for update
         // slots, so a ReadOnly writer's write could escape versioning.
         assert!(

@@ -4,7 +4,8 @@
 //! (crate [`multiverse`]) and the baseline STMs it is evaluated against
 //! (crate `baselines`): transactional words, the global clock, versioned
 //! locks and the striped lock table, the per-stripe bloom-filter table,
-//! per-thread statistics, exponential/linear backoff, and — most importantly —
+//! the per-runtime registration table (tids and per-thread statistics),
+//! exponential/linear backoff, and — most importantly —
 //! the traits every TM implements ([`TmRuntime`], [`Transaction`],
 //! [`Protocol`]) and the retry loop they share ([`Handle`], the one
 //! [`TmHandle`]).
@@ -39,6 +40,7 @@ pub mod dctl;
 pub mod locktable;
 pub mod padded;
 pub mod record;
+pub mod registry;
 pub mod stats;
 pub mod sync;
 pub mod traits;
@@ -53,7 +55,8 @@ pub use clock::{ClockCache, GlobalClock};
 pub use dctl::DctlCore;
 pub use locktable::{LockTable, StripeIndex};
 pub use padded::CachePadded;
-pub use stats::{StatsRegistry, ThreadStats, TmStatsSnapshot};
+pub use registry::{Registration, Registry};
+pub use stats::{ThreadStats, TmStatsSnapshot};
 pub use traits::{Handle, Protocol, TmHandle, TmRuntime, Transaction, TxKind, TxOutcome};
 pub use txset::{
     InlineVec, LockedStripes, RedoEntry, RedoLog, StripeReadSet, UndoEntry, UndoLog, ValueReadSet,

@@ -3,13 +3,16 @@
 //! Every counter is a row of the `stat_counters!` table below and a field of
 //! [`TmStatsSnapshot`]. The table has two lists:
 //!
-//! * **Per-thread rows** live in [`ThreadStats`]. Each TM handle owns an
-//!   `Arc<ThreadStats>` registered with its runtime's [`StatsRegistry`]; the
-//!   owning thread is the row's only writer.
+//! * **Per-thread rows** live in [`ThreadStats`]. Each TM handle's
+//!   [`Registration`](crate::registry::Registration) owns one row in its
+//!   runtime's [`Registry`](crate::registry::Registry); the owning thread is
+//!   the row's only writer. A row outlives its handle: the next holder of
+//!   the tid keeps counting on it, so snapshots keep dropped handles'
+//!   counts.
 //! * **Process-wide rows** live in the one [`ProcessStats`] `static`
 //!   ([`process_stats`]): state every runtime shares (the node arenas, the
-//!   WAL session, the store server). [`StatsRegistry::snapshot`] folds them
-//!   into every snapshot and derives the `*_allocs` rows (hits + misses); the
+//!   WAL session, the store server). [`Registry::snapshot`] folds them into
+//!   every snapshot and derives the `*_allocs` rows (hits + misses); the
 //!   Multiverse runtime adds its own `buckets_unversioned` count.
 //!
 //! A row with one writer at a time uses [`CachePaddedCounter::add`]/`inc` (a
@@ -18,10 +21,11 @@
 //! the one live session). A row that several threads write concurrently uses
 //! [`CachePaddedCounter::add_shared`] (a relaxed `fetch_add`): the arenas'
 //! hit/miss/retire/recycle rows and the store rows.
+//!
+//! [`Registry::snapshot`]: crate::registry::Registry::snapshot
 
 use crate::padded::CachePadded;
-use crate::sync::{AtomicU64, Mutex, Ordering};
-use std::sync::Arc;
+use crate::sync::{AtomicU64, Ordering};
 
 macro_rules! stat_counters {
     (
@@ -45,7 +49,8 @@ macro_rules! stat_counters {
         };
 
         /// A plain snapshot of every row: per-thread rows summed across
-        /// threads, process-wide rows folded in by [`StatsRegistry::snapshot`].
+        /// threads, process-wide rows folded in by
+        /// [`Registry::snapshot`](crate::registry::Registry::snapshot).
         #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
         pub struct TmStatsSnapshot {
             $( $(#[$doc])* pub $name: u64, )*
@@ -65,7 +70,7 @@ macro_rules! stat_counters {
 
         impl ProcessStats {
             /// Add every process-wide row into `snap`.
-            fn fold_into(&self, snap: &mut TmStatsSnapshot) {
+            pub(crate) fn fold_into(&self, snap: &mut TmStatsSnapshot) {
                 $( snap.$pname += self.$pname.get(); )*
             }
         }
@@ -237,70 +242,6 @@ pub fn process_stats() -> &'static ProcessStats {
     &PROCESS_STATS
 }
 
-/// Registry length below which [`StatsRegistry::register`] never prunes.
-const PRUNE_FLOOR: usize = 64;
-
-/// Registry of all per-thread statistics for one TM runtime instance.
-///
-/// Handles come and go, so `register` prunes: once the list reaches
-/// `max(PRUNE_FLOOR, 2 × live after the last prune)` entries, every entry
-/// whose handle has dropped is folded into `retired` and removed.
-#[derive(Debug, Default)]
-pub struct StatsRegistry {
-    inner: Mutex<Registered>,
-}
-
-#[derive(Debug, Default)]
-struct Registered {
-    threads: Vec<Arc<ThreadStats>>,
-    /// The summed rows of every pruned handle.
-    retired: TmStatsSnapshot,
-    /// List length at which the next `register` prunes.
-    prune_at: usize,
-}
-
-impl StatsRegistry {
-    /// Create an empty registry.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Register a new thread and return its stats handle.
-    pub fn register(&self) -> Arc<ThreadStats> {
-        let stats = Arc::new(ThreadStats::default());
-        let mut r = self.inner.lock().unwrap();
-        if r.threads.len() >= r.prune_at {
-            let (mut live, mut retired) = (Vec::new(), r.retired);
-            for t in r.threads.drain(..) {
-                match Arc::try_unwrap(t) {
-                    Ok(dropped) => retired.merge(&dropped.snapshot()),
-                    Err(t) => live.push(t),
-                }
-            }
-            r.prune_at = PRUNE_FLOOR.max(2 * live.len());
-            (r.threads, r.retired) = (live, retired);
-        }
-        r.threads.push(Arc::clone(&stats));
-        stats
-    }
-
-    /// Aggregate a snapshot across every thread ever registered, plus the
-    /// process-wide rows and the derived `*_allocs` rows.
-    pub fn snapshot(&self) -> TmStatsSnapshot {
-        let r = self.inner.lock().unwrap();
-        let mut total = r.retired;
-        for t in &r.threads {
-            total.merge(&t.snapshot());
-        }
-        drop(r);
-        process_stats().fold_into(&mut total);
-        // Every arena allocation is exactly one hit or one miss.
-        total.pool_allocs = total.pool_hits + total.pool_misses;
-        total.pool_class_allocs = total.pool_class_hits + total.pool_class_misses;
-        total
-    }
-}
-
 impl TmStatsSnapshot {
     /// Abort ratio: aborts / starts (0 when no transaction ever started).
     pub fn abort_ratio(&self) -> f64 {
@@ -315,6 +256,7 @@ impl TmStatsSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::registry::Registry;
 
     #[test]
     fn counters_increment() {
@@ -342,34 +284,6 @@ mod tests {
     }
 
     #[test]
-    fn registry_aggregates_all_threads() {
-        let reg = StatsRegistry::new();
-        let t1 = reg.register();
-        let t2 = reg.register();
-        t1.commits.add(3);
-        t2.commits.add(4);
-        t2.gave_up.inc();
-        let snap = reg.snapshot();
-        assert_eq!(snap.commits, 7);
-        assert_eq!(snap.gave_up, 1);
-    }
-
-    #[test]
-    fn registry_prunes_dropped_handles_and_keeps_their_counts() {
-        let reg = StatsRegistry::new();
-        let live = reg.register();
-        live.commits.inc();
-        for _ in 0..1000 {
-            reg.register().commits.add(2);
-            let len = reg.inner.lock().unwrap().threads.len();
-            assert!(len <= PRUNE_FLOOR, "registry list grew to {len}");
-        }
-        assert_eq!(reg.snapshot().commits, 1 + 2 * 1000);
-        live.commits.inc();
-        assert_eq!(reg.snapshot().commits, 2 + 2 * 1000, "live handle kept");
-    }
-
-    #[test]
     fn abort_ratio() {
         let mut s = TmStatsSnapshot::default();
         assert_eq!(s.abort_ratio(), 0.0);
@@ -391,7 +305,7 @@ mod tests {
 
     #[test]
     fn process_rows_fold_into_every_snapshot() {
-        let reg = StatsRegistry::new();
+        let reg = std::sync::Arc::<Registry>::default();
         let before = reg.snapshot();
         let p = process_stats();
         p.buckets_unversioned.add_shared(6);
@@ -410,8 +324,8 @@ mod tests {
         p.store_batches.add_shared(5);
         p.store_protocol_errors.add_shared(1);
         let t = reg.register();
-        t.pool_hits.add(8);
-        t.pool_misses.add(1);
+        t.stats().pool_hits.add(8);
+        t.stats().pool_misses.add(1);
         let after = reg.snapshot();
         let delta = |row: fn(&TmStatsSnapshot) -> u64| row(&after) - row(&before);
         assert_eq!(delta(|s| s.buckets_unversioned), 6);
@@ -451,28 +365,5 @@ mod tests {
             }
         });
         assert_eq!(c.get(), 4000);
-    }
-
-    #[test]
-    fn concurrent_updates_from_many_threads() {
-        let reg = Arc::new(StatsRegistry::new());
-        let handles: Vec<_> = (0..4)
-            .map(|_| {
-                let reg = Arc::clone(&reg);
-                std::thread::spawn(move || {
-                    let s = reg.register();
-                    for _ in 0..1000 {
-                        s.starts.inc();
-                        s.commits.inc();
-                    }
-                })
-            })
-            .collect();
-        for h in handles {
-            h.join().unwrap();
-        }
-        let snap = reg.snapshot();
-        assert_eq!(snap.starts, 4000);
-        assert_eq!(snap.commits, 4000);
     }
 }

@@ -5,7 +5,8 @@
 //!   table, background threads, statistics.
 //! * [`TmHandle`] — a per-thread handle obtained from
 //!   [`TmRuntime::register`]; owns the thread-local transaction descriptor
-//!   and runs the retry loop.
+//!   (and through it the handle's one registration: tid, stats row, per-TM
+//!   payload) and runs the retry loop.
 //! * [`Transaction`] — the view of an in-flight transaction attempt passed to
 //!   the user closure; provides transactional reads/writes and deferred
 //!   allocation / reclamation hooks.
@@ -273,6 +274,12 @@ pub trait TmRuntime: Send + Sync + 'static {
     type Handle: TmHandle;
 
     /// Register the calling thread and return its handle.
+    ///
+    /// The handle's descriptor owns one [`Registration`](crate::Registration)
+    /// from the runtime's [`Registry`](crate::Registry): a tid in
+    /// `1..=MAX_TID - 1` that no other live handle holds, its stats row, and
+    /// the TM's per-thread payload. Dropping the handle releases all three
+    /// at once. Panics if `MAX_TID - 1` handles are live.
     fn register(self: &Arc<Self>) -> Self::Handle;
 
     /// Human-readable algorithm name ("Multiverse", "TL2", ...).

@@ -170,7 +170,7 @@ fn damaged_newest_checkpoint_falls_back_to_older() {
 #[test]
 fn wal_rows_flow_into_stats_snapshot() {
     let dir = temp_dir("stats");
-    let reg = tm_api::stats::StatsRegistry::new();
+    let reg = tm_api::Registry::<()>::default();
     let handle = wal::start(fast_config(&dir)).unwrap();
     // Sessions are process-serialized, so between start and finish the only
     // writer of the append/fsync/byte counters is this session's group-commit

@@ -211,6 +211,43 @@ impl BackendVisitor for ReadOnlyWriteVisitor {
     }
 }
 
+/// Handle A writes `x` and parks inside its transaction, holding `x`'s
+/// stripe lock, while `MAX_TID + 1` fresh handles each try once to write
+/// `x` and are then dropped. None may commit: A's lock names A's tid, and
+/// no live handle may share it. A tid counter that wraps within
+/// `MAX_TID + 1` registrations hands one of them A's tid, and that handle
+/// then commits through A's lock; A's abort would roll its write back.
+fn live_tids_are_never_shared<R: TmRuntime>(tm: Arc<R>) {
+    let name = tm.name();
+    let x = TVar::new(0u64);
+    let out = tm.register().txn_budget(TxKind::ReadWrite, 1, |tx| {
+        tx.write_var(&x, 1)?;
+        for i in 0..=tm_api::MAX_TID {
+            let fresh = tm
+                .register()
+                .txn_budget(TxKind::ReadWrite, 1, |tx| tx.write_var(&x, 2));
+            assert_eq!(
+                fresh,
+                TxOutcome::GaveUp,
+                "{name}: fresh handle {i} committed through a live handle's lock"
+            );
+        }
+        Err::<(), _>(Abort)
+    });
+    assert_eq!(out, TxOutcome::GaveUp);
+    assert_eq!(x.load_direct(), 0, "{name}: A's abort rolls its write back");
+    tm.shutdown();
+}
+
+/// Run the tid-uniqueness probe against a backend by registry name.
+struct LiveTidVisitor;
+impl BackendVisitor for LiveTidVisitor {
+    type Out = ();
+    fn visit<R: TmRuntime>(self, rt: Arc<R>) {
+        live_tids_are_never_shared(rt);
+    }
+}
+
 /// Run the lockstep probe against a backend by registry name.
 struct LockstepVisitor;
 impl BackendVisitor for LockstepVisitor {
@@ -314,6 +351,23 @@ fn read_only_writes_follow_one_rule_on_every_backend() {
             TmKind::Multiverse | TmKind::MultiverseModeQ | TmKind::MultiverseModeU
         );
         with_backend(tm, RuntimeScale::Test, ReadOnlyWriteVisitor { refuses });
+    }
+}
+
+/// The encounter-time backends, whose stripe locks name their owner's tid.
+/// Glock is left out (its global lock would block the nested handle), and
+/// so are TL2 and NOrec, which lock only at commit: a parked body holds
+/// nothing there.
+#[test]
+fn live_handles_never_share_a_tid() {
+    for tm in [
+        TmKind::Multiverse,
+        TmKind::MultiverseModeQ,
+        TmKind::MultiverseModeU,
+        TmKind::Dctl,
+        TmKind::TinyStm,
+    ] {
+        with_backend(tm, RuntimeScale::Test, LiveTidVisitor);
     }
 }
 
